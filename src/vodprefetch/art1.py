@@ -5,6 +5,10 @@ match must pass a vigilance test on binary similarity, and an accepted
 pattern is folded into the winning prototype by bitwise AND (fast
 learning). Clusters are created on demand up to a fixed cap.
 
+Each cluster is stored as its prototype alone, an int bitmask with bit i
+set when input i is. Fast learning makes the bottom-up weights a function
+of the prototype, t / (0.5 + |t|), so they are derived, never stored.
+
 Everything is plain Python floats and ints on purpose: matching values
 are sums of exact dyadic-free fractions and the winner rule breaks ties
 by index, so the summation order is part of the contract. Weights are
@@ -14,12 +18,10 @@ accumulated in ascending index order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 from .fileio import atomic_write
-
-# Defaults of a cluster slot that has never learned anything.
-UNCOMMITTED_TOP_DOWN = 1
 
 
 class CapacityError(RuntimeError):
@@ -53,21 +55,27 @@ class Art1Config:
 
 
 class Art1Network:
-    """Mutable clustering state: one prototype row and one weight row per cluster."""
+    """Mutable clustering state: one prototype bitmask per cluster."""
 
     def __init__(self, config: Art1Config) -> None:
         self.config = config
-        self.top_down: list[list[int]] = []  # binary prototypes
-        self.bottom_up: list[list[float]] = []  # real matching weights
+        self.prototypes: list[int] = []  # bit i = input i
 
     @property
     def active_clusters(self) -> int:
-        return len(self.top_down)
+        return len(self.prototypes)
 
     @property
-    def uncommitted_bottom_up(self) -> float:
-        """Bottom-up weight of a never-committed slot: 1 / (1 + input_dim)."""
-        return 1.0 / (1.0 + self.config.input_dim)
+    def top_down(self) -> list[list[int]]:
+        """Dense binary prototype rows, rebuilt on every access."""
+        dim = self.config.input_dim
+        return [_dense(t, dim) for t in self.prototypes]
+
+    @property
+    def bottom_up(self) -> list[list[float]]:
+        """Dense weight rows t / (0.5 + |t|), rebuilt on every access."""
+        dim = self.config.input_dim
+        return [_weight_row(t, dim) for t in self.prototypes]
 
 
 @dataclass(frozen=True)
@@ -98,21 +106,48 @@ def init_network(config: Art1Config) -> Art1Network:
     return Art1Network(config)
 
 
-def _require_dim(net: Art1Network, pattern: Sequence[int]) -> None:
-    if len(pattern) != net.config.input_dim:
-        raise ValueError(
-            f"pattern length {len(pattern)} does not match input_dim {net.config.input_dim}"
-        )
-
-
-def _set_bits(pattern: Sequence[int]) -> list[int]:
-    ones = []
+def _to_mask(pattern: Sequence[int], dim: int, name: str = "pattern") -> int:
+    """Bitmask of a dense 0/1 pattern of length dim; the one place inputs are checked."""
+    if len(pattern) != dim:
+        raise ValueError(f"{name} has length {len(pattern)}, expected {dim}")
+    mask = 0
     for i, value in enumerate(pattern):
         if value == 1:
-            ones.append(i)
+            mask |= 1 << i
         elif value != 0:
-            raise ValueError(f"pattern element {i} is {value!r}, expected 0 or 1")
-    return ones
+            raise ValueError(f"{name} element {i} is {value!r}, expected 0 or 1")
+    return mask
+
+
+def _digits(mask: int, dim: int) -> str:
+    """The mask as dim '0'/'1' characters, input 0 first."""
+    return format(mask, f"0{dim}b")[::-1]
+
+
+def _dense(mask: int, dim: int) -> list[int]:
+    return [int(ch) for ch in _digits(mask, dim)]
+
+
+def _weight_row(mask: int, dim: int) -> list[float]:
+    scale = 1.0 / (0.5 + mask.bit_count())
+    return [scale if ch == "1" else 0.0 for ch in _digits(mask, dim)]
+
+
+@cache
+def _match_table(size: int) -> tuple[float, ...]:
+    # Entry k is 1 / (0.5 + size) added k times: the ascending-index dot
+    # product of a pattern sharing k bits with a prototype of `size` bits,
+    # since the zero weights in between leave the running sum unchanged.
+    # k * scale would round differently and move ties.
+    scale = 1.0 / (0.5 + size)
+    table = [0.0]
+    for _ in range(size):
+        table.append(table[-1] + scale)
+    return tuple(table)
+
+
+def _match_values(net: Art1Network, x: int) -> list[float]:
+    return [_match_table(t.bit_count())[(x & t).bit_count()] for t in net.prototypes]
 
 
 def match_values(net: Art1Network, pattern: Sequence[int]) -> list[float]:
@@ -121,15 +156,7 @@ def match_values(net: Art1Network, pattern: Sequence[int]) -> list[float]:
     The value for cluster j is the dot product of the pattern with the
     cluster's bottom-up weights, summed in ascending index order.
     """
-    _require_dim(net, pattern)
-    ones = _set_bits(pattern)
-    values = []
-    for row in net.bottom_up:
-        total = 0.0
-        for i in ones:
-            total += row[i]
-        values.append(total)
-    return values
+    return _match_values(net, _to_mask(pattern, net.config.input_dim))
 
 
 def select_winner(values: Sequence[float], excluded: Iterable[int] = ()) -> int | None:
@@ -151,60 +178,32 @@ def similarity(pattern: Sequence[int], prototype: Sequence[int]) -> float:
         raise ValueError(
             f"pattern length {len(pattern)} does not match prototype length {len(prototype)}"
         )
-    set_bits = 0
-    common = 0
-    for x, t in zip(pattern, prototype):
-        if x:
-            set_bits += 1
-            if t:
-                common += 1
-    if set_bits == 0:
+    x = _to_mask(pattern, len(pattern))
+    if not x:
         raise ValueError("similarity is undefined for an all-zero pattern")
-    return common / set_bits
+    return (x & _to_mask(prototype, len(prototype), "prototype")).bit_count() / x.bit_count()
 
 
-def _commit(net: Art1Network, cluster: int, pattern: Sequence[int]) -> None:
-    # Fast learning: prototype shrinks to its AND with the pattern and the
-    # bottom-up row is rescaled to new_prototype / (0.5 + |new_prototype|).
-    proto = net.top_down[cluster]
-    new_proto = [t if x else 0 for t, x in zip(proto, pattern)]
-    scale = 1.0 / (0.5 + sum(new_proto))
-    net.top_down[cluster] = new_proto
-    net.bottom_up[cluster] = [scale if t else 0.0 for t in new_proto]
-
-
-def _create(net: Art1Network, pattern: Sequence[int]) -> int:
-    proto = [1 if x else 0 for x in pattern]
-    scale = 1.0 / (0.5 + sum(proto))
-    net.top_down.append(proto)
-    net.bottom_up.append([scale if t else 0.0 for t in proto])
-    return net.active_clusters - 1
-
-
-def _present(
-    net: Art1Network, pattern: Sequence[int], force_assign: bool
-) -> tuple[int, list[int]]:
-    _require_dim(net, pattern)
-    ones = _set_bits(pattern)
-    if not ones:
-        raise ValueError("cannot present an all-zero pattern")
-    values = match_values(net, pattern)
+def _present(net: Art1Network, x: int, force_assign: bool) -> tuple[int, list[int]]:
+    protos = net.prototypes
+    values = _match_values(net, x)
     rejected: list[int] = []
     tested: list[tuple[float, int]] = []
     while True:
         winner = select_winner(values, rejected)
         if winner is None:
-            if net.active_clusters < net.config.max_clusters:
-                return _create(net, pattern), rejected
+            if len(protos) < net.config.max_clusters:
+                protos.append(x)
+                return len(protos) - 1, rejected
             best_similarity = max(v for v, _ in tested)
             best_cluster = min(j for v, j in tested if v == best_similarity)
             if force_assign:
-                _commit(net, best_cluster, pattern)
+                protos[best_cluster] &= x
                 return best_cluster, rejected
             raise CapacityError(best_cluster, best_similarity)
-        value = similarity(pattern, net.top_down[winner])
+        value = (x & protos[winner]).bit_count() / x.bit_count()
         if value >= net.config.vigilance:
-            _commit(net, winner, pattern)
+            protos[winner] &= x
             return winner, rejected
         rejected.append(winner)
         tested.append((value, winner))
@@ -222,7 +221,10 @@ def present_pattern(
     With force_assign=True the closest rejected cluster learns the pattern
     instead of raising.
     """
-    index, _ = _present(net, pattern, force_assign)
+    x = _to_mask(pattern, net.config.input_dim)
+    if not x:
+        raise ValueError("cannot present an all-zero pattern")
+    index, _ = _present(net, x, force_assign)
     return index
 
 
@@ -238,13 +240,13 @@ def train(
     assignments or config.max_epochs is reached; max_epochs=1 gives a
     plain single pass. `converged` reports which way the loop ended.
     """
-    dim = net.config.input_dim
+    masks = []
     for k, pattern in enumerate(patterns):
-        if len(pattern) != dim:
-            raise ValueError(f"pattern {k} has length {len(pattern)}, expected {dim}")
-        if not _set_bits(pattern):
+        x = _to_mask(pattern, net.config.input_dim, f"pattern {k}")
+        if not x:
             raise ValueError(f"pattern {k} is all zeros")
-    if not patterns:
+        masks.append(x)
+    if not masks:
         return Assignment((), (), True, 0)
     previous: list[int] | None = None
     clusters: list[int] = []
@@ -255,8 +257,8 @@ def train(
         epochs += 1
         clusters = []
         rejections = []
-        for pattern in patterns:
-            index, rejected = _present(net, pattern, force_assign)
+        for x in masks:
+            index, rejected = _present(net, x, force_assign)
             clusters.append(index)
             rejections.append(tuple(rejected))
         if previous is not None and clusters == previous:
@@ -282,9 +284,8 @@ def report_clusters(
     reports = []
     for cluster in sorted(members):
         ids = tuple(members[cluster])
-        reports.append(
-            ClusterReport(cluster, ids, tuple(net.top_down[cluster]), len(ids))
-        )
+        prototype = tuple(_dense(net.prototypes[cluster], net.config.input_dim))
+        reports.append(ClusterReport(cluster, ids, prototype, len(ids)))
     return reports
 
 
@@ -298,9 +299,11 @@ def render_snapshot(net: Art1Network) -> str:
     """
     cfg = net.config
     lines = [f"{cfg.input_dim} {cfg.max_clusters} {cfg.vigilance:.17g} {net.active_clusters}"]
-    for proto, weights in zip(net.top_down, net.bottom_up):
-        lines.append("".join("1" if bit else "0" for bit in proto))
-        lines.append(" ".join(f"{w:.17g}" for w in weights))
+    for t in net.prototypes:
+        digits = _digits(t, cfg.input_dim)
+        weight = f"{1.0 / (0.5 + t.bit_count()):.17g}"
+        lines.append(digits)
+        lines.append(" ".join(weight if ch == "1" else "0" for ch in digits))
     return "\n".join(lines) + "\n"
 
 
@@ -309,7 +312,11 @@ def save_snapshot(net: Art1Network, path) -> None:
 
 
 def load_snapshot(path) -> Art1Network:
-    """Inverse of save_snapshot; a loaded network re-saves byte-identically."""
+    """Inverse of save_snapshot; a loaded network re-saves byte-identically.
+
+    Weight rows are checked, not trusted: each must equal the t / (0.5 + |t|)
+    that its prototype row implies.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines:
@@ -337,8 +344,10 @@ def load_snapshot(path) -> Art1Network:
         weights = [float(token) for token in weight_line.split()]
         if len(weights) != dim:
             raise ValueError(f"bad weight row for cluster {c}: expected {dim} values")
-        if any(w < 0.0 or w > 1.0 for w in weights):
-            raise ValueError(f"weight outside [0, 1] in cluster {c}")
-        net.top_down.append([1 if ch == "1" else 0 for ch in proto_line])
-        net.bottom_up.append(weights)
+        t = int(proto_line[::-1], 2)
+        if weights != _weight_row(t, dim):
+            raise ValueError(
+                f"weight row of cluster {c} is not t / (0.5 + |t|) of its prototype"
+            )
+        net.prototypes.append(t)
     return net

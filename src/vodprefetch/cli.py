@@ -3,7 +3,7 @@
 Ties the pipeline together: generate or ingest a trace, extract
 per-session request patterns, cluster them over sliding windows, score
 prototype prefetching, sweep the vigilance grid, and write CSV results
-plus a final network snapshot.
+plus the snapshot of the network trained at the configured vigilance.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import dataclasses
 import logging
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .art1 import Art1Config, CapacityError, init_network, save_snapshot, train
+from .art1 import Art1Config, Art1Network, CapacityError, init_network, save_snapshot, train
 from .fileio import atomic_write
 from .logs import (
     DEFAULT_MAX_IDLE_SECONDS,
@@ -115,6 +115,7 @@ class SweepPoint:
     vigilance: float
     clusters: int | None
     error: str | None = None
+    network: Art1Network | None = field(default=None, compare=False, repr=False)
 
 
 def sweep_vigilance(
@@ -129,7 +130,8 @@ def sweep_vigilance(
     """Train one independent network per grid value on the same patterns.
 
     Grid points are mutually independent; a capacity failure is recorded on
-    its own point and the remaining points still run.
+    its own point and the remaining points still run. Each successful point
+    keeps the network it trained.
     """
     if not grid:
         raise ValueError("sweep grid must not be empty")
@@ -142,7 +144,7 @@ def sweep_vigilance(
         except CapacityError as exc:
             points.append(SweepPoint(value, None, str(exc)))
             continue
-        points.append(SweepPoint(value, net.active_clusters))
+        points.append(SweepPoint(value, net.active_clusters, network=net))
     return points
 
 
@@ -229,28 +231,26 @@ def run(config: ExperimentConfig) -> int:
         log.warning("only one session window; prefetch metrics skipped")
 
     bit_rows = [p.bits for p in all_patterns]
-    points = sweep_vigilance(
-        bit_rows,
-        config.sweep,
+    train_args = dict(
         input_dim=base.size,
         max_clusters=max_clusters,
         max_epochs=config.max_epochs,
         force_assign=config.force_assign,
     )
+    points = sweep_vigilance(bit_rows, config.sweep, **train_args)
     atomic_write(out / "cluster_counts.csv", render_cluster_counts(points))
+    # The snapshot is the network of the grid point at the configured
+    # vigilance; only a vigilance off the grid needs a training of its own.
+    final = next((point for point in points if point.vigilance == config.vigilance), None)
+    if final is None:
+        final = sweep_vigilance(bit_rows, (config.vigilance,), **train_args)[0]
+        points.append(final)
     for point in points:
         if point.error is not None:
             log.error("vigilance %g: %s", point.vigilance, point.error)
             capacity_failures.append(point.error)
-
-    final_net = init_network(art_config)
-    try:
-        train(final_net, bit_rows, force_assign=config.force_assign)
-    except CapacityError as exc:
-        log.error("final training run out of clusters: %s", exc)
-        capacity_failures.append(str(exc))
-    else:
-        save_snapshot(final_net, out / "network.snapshot")
+    if final.network is not None:
+        save_snapshot(final.network, out / "network.snapshot")
 
     return EXIT_CAPACITY if capacity_failures else EXIT_OK
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -41,10 +40,9 @@ class LogRecord:
 
 @dataclass(frozen=True)
 class AccessEvent:
-    """Reduced request record: client, UTC calendar date and video."""
+    """Reduced request record: client, time and video."""
 
     client_id: str
-    date: dt.date
     timestamp: int
     video_id: str
 
@@ -115,12 +113,11 @@ def preprocess(
     status_filter: frozenset[int] | set[int] = DEFAULT_STATUS_FILTER,
 ) -> list[AccessEvent]:
     """Keep requests whose status passes the filter and drop unused fields."""
-    events = []
-    for rec in records:
-        if rec.status_code in status_filter:
-            day = dt.datetime.fromtimestamp(rec.timestamp, tz=dt.timezone.utc).date()
-            events.append(AccessEvent(rec.client_id, day, rec.timestamp, rec.video_id))
-    return events
+    return [
+        AccessEvent(rec.client_id, rec.timestamp, rec.video_id)
+        for rec in records
+        if rec.status_code in status_filter
+    ]
 
 
 def segment_sessions(

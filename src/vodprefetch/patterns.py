@@ -47,19 +47,6 @@ def build_base_vector(events: Sequence[AccessEvent]) -> BaseVector:
     return BaseVector.from_urls(sorted({event.video_id for event in events}))
 
 
-def extend_base_vector(base: BaseVector, events: Iterable[AccessEvent]) -> BaseVector:
-    """Grow a base vector in place of rebuilding it.
-
-    Newly seen ids are appended after the existing indices, sorted among
-    themselves, so patterns built against the old base stay valid after
-    zero padding.
-    """
-    fresh = sorted({event.video_id for event in events} - set(base.urls))
-    if not fresh:
-        return base
-    return BaseVector.from_urls(base.urls + tuple(fresh))
-
-
 @dataclass(frozen=True)
 class PatternVector:
     """Binary request pattern of one session."""
@@ -67,14 +54,6 @@ class PatternVector:
     client_id: str
     session_ref: str
     bits: tuple[int, ...]
-
-    def pad_to(self, size: int) -> "PatternVector":
-        if size < len(self.bits):
-            raise ValueError(f"cannot shrink a pattern from {len(self.bits)} to {size}")
-        if size == len(self.bits):
-            return self
-        padded = self.bits + (0,) * (size - len(self.bits))
-        return PatternVector(self.client_id, self.session_ref, padded)
 
 
 def extract_pattern(

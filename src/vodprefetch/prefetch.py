@@ -21,7 +21,6 @@ METRICS_HEADER = "window,cluster,members,prefetched,hits,accuracy"
 class PrefetchPlan:
     """URLs to pull into the cache for each cluster, in base-vector order."""
 
-    session_ref: str
     urls_by_cluster: Mapping[int, tuple[str, ...]]
 
 
@@ -46,9 +45,7 @@ class EvaluationResult:
     unclustered_clients: tuple[str, ...]
 
 
-def build_plan(
-    reports: Sequence[ClusterReport], base: BaseVector, session_ref: str = ""
-) -> PrefetchPlan:
+def build_plan(reports: Sequence[ClusterReport], base: BaseVector) -> PrefetchPlan:
     """List each prototype's set-bit URLs in index order."""
     plan: dict[int, tuple[str, ...]] = {}
     for report in reports:
@@ -59,7 +56,7 @@ def build_plan(
         plan[report.cluster_index] = tuple(
             base.urls[i] for i, bit in enumerate(report.prototype) if bit
         )
-    return PrefetchPlan(session_ref, plan)
+    return PrefetchPlan(plan)
 
 
 def evaluate_plan(
@@ -134,7 +131,7 @@ def sliding_run(
         for pattern, cluster in zip(patterns, assignment.clusters):
             membership[pattern.client_id] = cluster  # later sessions overwrite
         reports = report_clusters(net, assignment, [p.client_id for p in patterns])
-        plan = build_plan(reports, base, session_ref=f"window-{w}")
+        plan = build_plan(reports, base)
         results.append((w, evaluate_plan(plan, windows[w + 1], membership)))
     return results
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import datetime as dt
 import sys
 from pathlib import Path
 
@@ -10,8 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 
 def make_event(client: str, ts: int, video: str) -> AccessEvent:
-    day = dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).date()
-    return AccessEvent(client, day, ts, video)
+    return AccessEvent(client, ts, video)
 
 
 def make_session(client: str, requests: list[tuple[int, str]]) -> Session:

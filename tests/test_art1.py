@@ -58,25 +58,18 @@ def test_init_network_is_empty():
     assert net.top_down == [] and net.bottom_up == []
 
 
-def test_uncommitted_bottom_up_default():
-    assert net_with(dim=5).uncommitted_bottom_up == 1.0 / 6.0
-    assert net_with(dim=1).uncommitted_bottom_up == 0.5
-
-
 # --- match values ---
 
 
 def test_match_values_dot_product():
-    net = net_with()
-    net.top_down.append([1, 1, 1])
-    net.bottom_up.append([0.4, 0.4, 0.4])
-    assert match_values(net, (1, 0, 1)) == [0.8]
+    net = net_with(vigilance=0.5)
+    present_pattern(net, (1, 1, 1))  # weights 1/3.5 on every input
+    assert match_values(net, (1, 0, 1)) == [1 / 3.5 + 1 / 3.5]
 
 
 def test_match_values_zero_pattern_is_zero():
-    net = net_with()
-    net.top_down.append([1, 0, 1])
-    net.bottom_up.append([0.4, 0.0, 0.4])
+    net = net_with(vigilance=0.5)
+    present_pattern(net, (1, 0, 1))
     assert match_values(net, (0, 0, 0)) == [0.0]
 
 
@@ -95,20 +88,35 @@ def test_match_values_rejects_non_binary():
 
 
 def test_match_values_against_dense_sum():
+    # Networks trained at the benchmark's width: every match value must equal
+    # the ascending-index dot product with the derived weight rows, including
+    # cases where k * scale rounds differently from that sum.
     rng = random.Random(8)
-    net = net_with(dim=10, cap=6)
-    for _ in range(4):
-        net.top_down.append([rng.randrange(2) for _ in range(10)])
-        net.bottom_up.append([rng.random() for _ in range(10)])
-    for _ in range(50):
-        x = [rng.randrange(2) for _ in range(10)]
-        expected = []
-        for row in net.bottom_up:
-            total = 0.0
-            for i in range(10):
-                total += x[i] * row[i]
-            expected.append(total)
-        assert match_values(net, x) == expected
+    dim = 400
+    k_times_scale_differs = 0
+    for vigilance in (0.2, 0.5):
+        net = net_with(vigilance=vigilance, dim=dim, cap=40)
+        patterns = []
+        for _ in range(40):
+            bits = [0] * dim
+            for i in rng.sample(range(dim), rng.randint(20, 120)):
+                bits[i] = 1
+            patterns.append(tuple(bits))
+        train(net, patterns)
+        rows = net.bottom_up
+        assert rows and len(rows) == net.active_clusters
+        for x in patterns[:20]:
+            expected = []
+            for row in rows:
+                total = 0.0
+                for i in range(dim):
+                    total += x[i] * row[i]
+                expected.append(total)
+                scale = max(row)
+                common = sum(1 for i in range(dim) if x[i] and row[i])
+                k_times_scale_differs += common * scale != total
+            assert match_values(net, x) == expected
+    assert k_times_scale_differs > 0
 
 
 # --- winner selection ---
@@ -376,6 +384,14 @@ def test_snapshot_format_shape():
     assert lines[2].split() == ["0.40000000000000002", "0", "0.40000000000000002"]
 
 
+def test_snapshot_accepts_derived_weights_in_short_form(tmp_path):
+    path = tmp_path / "short.snapshot"
+    path.write_text("3 7 0.5 1\n101\n0.4 0 0.4\n", encoding="utf-8")
+    net = load_snapshot(path)
+    assert net.top_down == [[1, 0, 1]]
+    assert net.bottom_up == [[0.4, 0.0, 0.4]]
+
+
 def test_snapshot_empty_network(tmp_path):
     net = net_with(dim=4, cap=3)
     path = tmp_path / "empty.snapshot"
@@ -395,6 +411,7 @@ def test_snapshot_empty_network(tmp_path):
         "3 7 0.5 1\n101\n0.4 0\n",
         "3 7 0.5 1\n101\n0.4 0 1.5\n",
         "3 7 0.5 2\n101\n0.4 0 0.4\n",
+        "3 7 0.5 1\n110\n0.9 0 0.7\n",
     ],
 )
 def test_snapshot_rejects_malformed(tmp_path, text):

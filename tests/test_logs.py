@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import datetime as dt
 import random
 
 import pytest
@@ -89,46 +88,6 @@ def test_parse_log_file_roundtrip(tmp_path):
 # --- preprocessing ---
 
 
-def _civil_from_days(z: int) -> tuple[int, int, int]:
-    # Independent Gregorian conversion (days since 1970-01-01), used as an
-    # oracle for the datetime-based date derivation.
-    z += 719468
-    era = (z if z >= 0 else z - 146096) // 146097
-    doe = z - era * 146097
-    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
-    y = yoe + era * 400
-    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
-    mp = (5 * doy + 2) // 153
-    d = doy - (153 * mp + 2) // 5 + 1
-    m = mp + 3 if mp < 10 else mp - 9
-    return y + (1 if m <= 2 else 0), m, d
-
-
-def test_preprocess_known_date():
-    rec = LogRecord("c1", "u1", 1696118400, "v1", 200, 1)
-    (event,) = preprocess([rec])
-    assert event.date == dt.date(2023, 10, 1)
-
-
-@pytest.mark.parametrize("ts", [0, 86399, 86400, 1696118400, 2**31 - 1])
-def test_preprocess_date_matches_civil_oracle(ts):
-    rec = LogRecord("c1", "u1", ts, "v1", 200, 1)
-    (event,) = preprocess([rec])
-    assert (event.date.year, event.date.month, event.date.day) == _civil_from_days(
-        ts // 86400
-    )
-
-
-def test_preprocess_date_oracle_random_sample():
-    rng = random.Random(99)
-    for _ in range(200):
-        ts = rng.randrange(0, 4_000_000_000)
-        (event,) = preprocess([LogRecord("c", "u", ts, "v", 200, 1)])
-        assert (event.date.year, event.date.month, event.date.day) == _civil_from_days(
-            ts // 86400
-        )
-
-
 def test_preprocess_filters_statuses():
     records = [
         LogRecord("c1", "u1", 1, "v1", 200, 1),
@@ -154,7 +113,7 @@ def test_preprocess_empty():
 
 def test_preprocess_drops_unused_fields():
     (event,) = preprocess([LogRecord("c1", "u9", 50, "v1", 200, 912)])
-    assert event == AccessEvent("c1", dt.date(1970, 1, 1), 50, "v1")
+    assert event == AccessEvent("c1", 50, "v1")
 
 
 # --- session segmentation ---

@@ -7,7 +7,6 @@ import pytest
 from vodprefetch.patterns import (
     UnknownVideoError,
     build_base_vector,
-    extend_base_vector,
     extract_pattern,
     patterns_for_sessions,
     render_pattern_matrix,
@@ -35,13 +34,6 @@ def test_base_vector_stable_under_shuffle():
 def test_base_vector_empty_corpus():
     with pytest.raises(ValueError):
         build_base_vector([])
-
-
-def test_extend_appends_new_ids_after_existing():
-    base = build_base_vector([make_event("c", 0, "v5"), make_event("c", 1, "v9")])
-    grown = extend_base_vector(base, [make_event("c", 2, "v1"), make_event("c", 3, "v7")])
-    assert grown.urls == ("v5", "v9", "v1", "v7")
-    assert extend_base_vector(base, []) is base
 
 
 def test_extract_pattern_frequency_threshold():
@@ -131,18 +123,6 @@ def test_pattern_rows_are_binary_and_sized():
         assert set(pattern.bits) <= {0, 1}
 
 
-def test_pad_to_extends_with_zeros():
-    session = make_session("c1", [(0, "v1"), (1, "v1")])
-    base = build_base_vector(list(session.events))
-    pattern = extract_pattern(session, base)
-    assert pattern.bits == (1,)
-    padded = pattern.pad_to(4)
-    assert padded.bits == (1, 0, 0, 0)
-    assert pattern.pad_to(1) is pattern
-    with pytest.raises(ValueError):
-        padded.pad_to(2)
-
-
 def test_render_pattern_matrix():
     base = build_base_vector([make_event("c", 0, "v1"), make_event("c", 1, "v2")])
     session = make_session("c1", [(0, "v1"), (1, "v1")])
@@ -154,6 +134,6 @@ def test_render_pattern_matrix_width_mismatch():
     base = build_base_vector([make_event("c", 0, "v1"), make_event("c", 1, "v2")])
     session = make_session("c1", [(0, "v1"), (1, "v1")])
     kept, _ = patterns_for_sessions([session], base)
-    bigger = extend_base_vector(base, [make_event("c", 2, "v3")])
+    bigger = build_base_vector([make_event("c", i, f"v{i}") for i in (1, 2, 3)])
     with pytest.raises(ValueError):
         render_pattern_matrix(kept, bigger)
