@@ -160,7 +160,11 @@ def match_values(net: Art1Network, pattern: Sequence[int]) -> list[float]:
 
 
 def select_winner(values: Sequence[float], excluded: Iterable[int] = ()) -> int | None:
-    """Index of the largest value outside `excluded`; ties go to the lowest index."""
+    """Index of the largest value outside `excluded`; ties go to the lowest index.
+
+    Calling it again with each answer excluded yields the order in which a
+    presentation tries clusters.
+    """
     banned = set(excluded)
     winner = None
     best = 0.0
@@ -187,26 +191,28 @@ def similarity(pattern: Sequence[int], prototype: Sequence[int]) -> float:
 def _present(net: Art1Network, x: int, force_assign: bool) -> tuple[int, list[int]]:
     protos = net.prototypes
     values = _match_values(net, x)
+    size = x.bit_count()
+    vigilance = net.config.vigilance
     rejected: list[int] = []
-    tested: list[tuple[float, int]] = []
-    while True:
-        winner = select_winner(values, rejected)
-        if winner is None:
-            if len(protos) < net.config.max_clusters:
-                protos.append(x)
-                return len(protos) - 1, rejected
-            best_similarity = max(v for v, _ in tested)
-            best_cluster = min(j for v, j in tested if v == best_similarity)
-            if force_assign:
-                protos[best_cluster] &= x
-                return best_cluster, rejected
-            raise CapacityError(best_cluster, best_similarity)
-        value = (x & protos[winner]).bit_count() / x.bit_count()
-        if value >= net.config.vigilance:
-            protos[winner] &= x
-            return winner, rejected
-        rejected.append(winner)
-        tested.append((value, winner))
+    similarities: list[float] = []
+    # A stable sort keeps equal values in ascending index order even when
+    # reversed, so this is the order repeated select_winner calls visit.
+    for j in sorted(range(len(values)), key=values.__getitem__, reverse=True):
+        value = (x & protos[j]).bit_count() / size
+        if value >= vigilance:
+            protos[j] &= x
+            return j, rejected
+        rejected.append(j)
+        similarities.append(value)
+    if len(protos) < net.config.max_clusters:
+        protos.append(x)
+        return len(protos) - 1, rejected
+    best_similarity = max(similarities)
+    best_cluster = min(j for j, v in zip(rejected, similarities) if v == best_similarity)
+    if force_assign:
+        protos[best_cluster] &= x
+        return best_cluster, rejected
+    raise CapacityError(best_cluster, best_similarity)
 
 
 def present_pattern(
@@ -214,8 +220,8 @@ def present_pattern(
 ) -> int:
     """Assign one pattern and return its cluster index.
 
-    The best-matching cluster is tried first; a vigilance failure disables
-    it for this presentation and the search repeats on the rest. When no
+    Clusters are tried in one pass from the best match down, ties to the
+    lowest index, until one passes vigilance; each failure is a reset. When no
     candidate is left, a new cluster is created from the pattern if the cap
     allows, otherwise CapacityError reports the closest rejected cluster.
     With force_assign=True the closest rejected cluster learns the pattern

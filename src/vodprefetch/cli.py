@@ -205,27 +205,29 @@ def run(config: ExperimentConfig) -> int:
     capacity_failures: list[str] = []
 
     if len(windows) >= 2:
-        try:
-            results = sliding_run(
-                windows,
-                base,
-                art_config,
-                freq_threshold=config.freq_threshold,
-                history_windows=config.history_windows,
-                force_assign=config.force_assign,
-            )
-        except CapacityError as exc:
-            # Keep going: the sweep and snapshot stages run independently.
-            log.error("prefetch evaluation ran out of clusters: %s", exc)
-            capacity_failures.append(str(exc))
-            atomic_write(out / "metrics.csv", METRICS_HEADER + "\n")
-        else:
-            write_metrics_csv(results, out / "metrics.csv")
-            log.info(
-                "member-weighted prefetch accuracy %.4f over %d windows",
-                member_weighted_accuracy(results),
-                len(windows),
-            )
+        results = sliding_run(
+            windows,
+            base,
+            art_config,
+            freq_threshold=config.freq_threshold,
+            history_windows=config.history_windows,
+            force_assign=config.force_assign,
+        )
+        # A window that ran out of clusters has no rows; the others still count.
+        for window, result in results:
+            if result.error is not None:
+                log.error(
+                    "window %d: prefetch evaluation ran out of clusters: %s",
+                    window,
+                    result.error,
+                )
+                capacity_failures.append(result.error)
+        write_metrics_csv(results, out / "metrics.csv")
+        log.info(
+            "member-weighted prefetch accuracy %.4f over %d windows",
+            member_weighted_accuracy(results),
+            len(windows),
+        )
     else:
         atomic_write(out / "metrics.csv", METRICS_HEADER + "\n")
         log.warning("only one session window; prefetch metrics skipped")
@@ -442,9 +444,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
 
 
 if __name__ == "__main__":

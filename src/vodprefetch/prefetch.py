@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import logging
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .art1 import Art1Config, ClusterReport, init_network, report_clusters, train
+from .art1 import (
+    Art1Config,
+    CapacityError,
+    ClusterReport,
+    init_network,
+    report_clusters,
+    train,
+)
 from .fileio import atomic_write
 from .logs import Session
-from .patterns import BaseVector, patterns_for_sessions
+from .patterns import BaseVector, PatternVector, patterns_for_sessions
 
 log = logging.getLogger(__name__)
 
@@ -41,8 +48,11 @@ class CacheMetrics:
 
 @dataclass(frozen=True)
 class EvaluationResult:
+    """Scores of one window; `error` is set, with no metrics, when training failed."""
+
     metrics: tuple[CacheMetrics, ...]
     unclustered_clients: tuple[str, ...]
+    error: str | None = None
 
 
 def build_plan(reports: Sequence[ClusterReport], base: BaseVector) -> PrefetchPlan:
@@ -109,24 +119,32 @@ def sliding_run(
     `history_windows` of them when positive) and the resulting plan is
     evaluated on window w+1, so no training input ever postdates the
     evaluation window. A client's membership is the cluster of its latest
-    pattern. Windows with no usable patterns yield an empty result.
+    pattern. Windows with no usable patterns yield an empty result; a window
+    whose training runs out of clusters records the error on its result and
+    the remaining windows still run. Each window's patterns are extracted
+    once and reused by every history that includes it.
     """
     if len(windows) < 2:
         raise ValueError("sliding evaluation needs at least two session windows")
     if history_windows < 0:
         raise ValueError("history_windows must be >= 0")
+    recent: deque[list[PatternVector]] = deque(maxlen=history_windows or None)
     results: list[tuple[int, EvaluationResult]] = []
     for w in range(len(windows) - 1):
-        low = 0 if history_windows == 0 else max(0, w + 1 - history_windows)
-        history = [session for window in windows[low : w + 1] for session in window]
-        patterns, dropped = patterns_for_sessions(history, base, freq_threshold)
+        kept, dropped = patterns_for_sessions(windows[w], base, freq_threshold)
         if dropped:
             log.info("window %d: dropped %d all-zero patterns", w, dropped)
+        recent.append(kept)
+        patterns = [pattern for batch in recent for pattern in batch]
         if not patterns:
             results.append((w, EvaluationResult((), ())))
             continue
         net = init_network(art_config)
-        assignment = train(net, [p.bits for p in patterns], force_assign=force_assign)
+        try:
+            assignment = train(net, [p.bits for p in patterns], force_assign=force_assign)
+        except CapacityError as exc:
+            results.append((w, EvaluationResult((), (), str(exc))))
+            continue
         membership: dict[str, int] = {}
         for pattern, cluster in zip(patterns, assignment.clusters):
             membership[pattern.client_id] = cluster  # later sessions overwrite

@@ -3,7 +3,15 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vodprefetch.art1 import Art1Config, init_network, present_pattern, train
+from vodprefetch.art1 import (
+    Art1Config,
+    CapacityError,
+    init_network,
+    present_pattern,
+    select_winner,
+    similarity,
+    train,
+)
 
 from reference_art1 import reference_train
 
@@ -101,3 +109,79 @@ def test_training_agrees_with_reference(case, vigilance, epochs):
     assert list(assignment.clusters) == ref_asg
     assert net.top_down == ref_proto
     assert net.bottom_up == ref_weights
+
+
+def _straight_line_train(patterns, vigilance, max_clusters, max_epochs, force_assign):
+    """Cluster search spelled out with repeated select_winner calls.
+
+    Returns (clusters, rejections, prototypes, capacity) for the last epoch
+    run; capacity is (best_cluster, best_similarity) when a presentation
+    found no cluster and force_assign was off, and training stops there.
+    """
+    prototypes: list[list[int]] = []
+    previous = None
+    clusters: list[int] = []
+    rejections: list[tuple[int, ...]] = []
+    for _ in range(max_epochs):
+        clusters, rejections = [], []
+        for x in patterns:
+            values = []
+            for proto in prototypes:
+                scale = 1.0 / (0.5 + sum(proto))
+                total = 0.0
+                for bit, t in zip(x, proto):
+                    total += bit * (scale if t else 0.0)
+                values.append(total)
+            rejected: list[int] = []
+            tested: list[tuple[float, int]] = []
+            while True:
+                winner = select_winner(values, rejected)
+                if winner is None:
+                    break
+                value = similarity(x, prototypes[winner])
+                if value >= vigilance:
+                    break
+                rejected.append(winner)
+                tested.append((value, winner))
+            if winner is None:
+                if len(prototypes) < max_clusters:
+                    prototypes.append(list(x))
+                    winner = len(prototypes) - 1
+                else:
+                    best = max(v for v, _ in tested)
+                    winner = min(j for v, j in tested if v == best)
+                    if not force_assign:
+                        return clusters, rejections, prototypes, (winner, best)
+            prototypes[winner] = [a & b for a, b in zip(prototypes[winner], x)]
+            clusters.append(winner)
+            rejections.append(tuple(rejected))
+        if clusters == previous:
+            break
+        previous = list(clusters)
+    return clusters, rejections, prototypes, None
+
+
+@given(
+    pattern_sets().flatmap(
+        lambda case: st.tuples(st.just(case), st.integers(1, max(1, len(case[1]) - 1)))
+    ),
+    vigilances,
+    st.integers(1, 5),
+    st.booleans(),
+)
+@settings(max_examples=500, deadline=None)
+def test_search_order_matches_repeated_select_winner(case_cap, vigilance, epochs, force):
+    (dim, patterns), cap = case_cap
+    net = init_network(Art1Config(dim, vigilance, cap, epochs))
+    clusters, rejections, prototypes, capacity = _straight_line_train(
+        patterns, vigilance, cap, epochs, force
+    )
+    try:
+        assignment = train(net, patterns, force_assign=force)
+    except CapacityError as exc:
+        assert capacity == (exc.best_cluster, exc.best_similarity)
+    else:
+        assert capacity is None
+        assert list(assignment.clusters) == clusters
+        assert list(assignment.rejections) == rejections
+    assert net.top_down == prototypes

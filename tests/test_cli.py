@@ -263,6 +263,30 @@ def test_capacity_exhaustion_is_exit_three(tmp_path, capsys):
     assert lines == ["vigilance,clusters", "0,1"]
 
 
+def test_window_capacity_error_keeps_other_windows(tmp_path, caplog):
+    # Four daily windows, one-window history, one cluster: window 1 has two
+    # disjoint patterns and runs out of clusters, windows 0 and 2 do not.
+    days = [[("a", "v1")], [("a", "v1"), ("b", "v2")], [("a", "v1")], [("a", "v1")]]
+    lines = [
+        f"{client} u1 {d * 86400 + offset} {video} 200 100"
+        for d, requests in enumerate(days)
+        for client, video in requests
+        for offset in (10, 20)
+    ]
+    trace = tmp_path / "trace.log"
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(
+        ["--input", str(trace), "--out", str(out), "--history-windows", "1",
+         "--max-clusters", "1", "--vigilance", "0.9", "--sweep", "0"]
+    )
+    assert code == EXIT_CAPACITY
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert rows[0] == "window,cluster,members,prefetched,hits,accuracy"
+    assert [row.split(",")[0] for row in rows[1:]] == ["0", "2"]
+    assert "window 1: prefetch evaluation ran out of clusters" in caplog.text
+
+
 def test_force_assign_recovers_capacity(tmp_path):
     out = tmp_path / "out"
     code = main(

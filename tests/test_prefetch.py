@@ -240,6 +240,38 @@ def test_sliding_run_ignores_future_windows():
     assert sliding_run(short, base, config)[0] == sliding_run(full, base, config)[0]
 
 
+def _windows_of(day_requests, day=86400):
+    # day_requests[d] lists (client, video) pairs; each is requested twice
+    # on day d, so it sets one pattern bit at the default threshold.
+    events = []
+    for d, requests in enumerate(day_requests):
+        for client, video in requests:
+            events.append(make_event(client, d * day + 10, video))
+            events.append(make_event(client, d * day + 20, video))
+    sessions = segment_sessions(events)
+    base = build_base_vector([e for s in sessions for e in s.events])
+    return group_sessions_by_window(sessions, day), base
+
+
+def test_sliding_run_capacity_error_stays_in_its_window():
+    # Window 1 holds two disjoint patterns, which one cluster at vigilance
+    # 0.9 cannot hold; windows 0 and 2 hold one pattern each.
+    windows, base = _windows_of(
+        [[("a", "v1")], [("a", "v1"), ("b", "v2")], [("a", "v1")], [("a", "v1")]]
+    )
+    results = sliding_run(
+        windows, base, Art1Config(base.size, 0.9, 1, 10), history_windows=1
+    )
+    assert [w for w, _ in results] == [0, 1, 2]
+    failed = results[1][1]
+    assert failed.metrics == () and "no free cluster" in failed.error
+    for w in (0, 2):
+        assert results[w][1].error is None
+        assert [m.accuracy for m in results[w][1].metrics] == [1.0]
+    lines = render_metrics_csv(results).splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "2"]
+
+
 def test_render_metrics_csv_format():
     sessions = _two_window_sessions()
     base = build_base_vector([e for s in sessions for e in s.events])
