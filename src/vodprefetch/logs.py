@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_MAX_IDLE_SECONDS = 1800
 DEFAULT_STATUS_FILTER = frozenset({200})
@@ -18,6 +18,16 @@ class LogParseError(ValueError):
         self.line_number = line_number
 
 
+def _check_record(client_id: str, timestamp: int, video_id: str, bytes_sent: int) -> None:
+    """Raise ValueError unless the ids are non-empty and the numbers non-negative."""
+    if not client_id or not video_id:
+        raise ValueError("client_id and video_id must be non-empty")
+    if timestamp < 0:
+        raise ValueError(f"negative timestamp {timestamp}")
+    if bytes_sent < 0:
+        raise ValueError(f"negative bytes_sent {bytes_sent}")
+
+
 @dataclass(frozen=True)
 class LogRecord:
     """One raw request: who asked for which video, when, and how it went."""
@@ -30,16 +40,10 @@ class LogRecord:
     bytes_sent: int
 
     def __post_init__(self) -> None:
-        if not self.client_id or not self.video_id:
-            raise ValueError("client_id and video_id must be non-empty")
-        if self.timestamp < 0:
-            raise ValueError(f"negative timestamp {self.timestamp}")
-        if self.bytes_sent < 0:
-            raise ValueError(f"negative bytes_sent {self.bytes_sent}")
+        _check_record(self.client_id, self.timestamp, self.video_id, self.bytes_sent)
 
 
-@dataclass(frozen=True)
-class AccessEvent:
+class AccessEvent(NamedTuple):
     """Reduced request record: client, time and video."""
 
     client_id: str
@@ -61,15 +65,10 @@ class Session:
         return f"{self.client_id}:{self.start}"
 
 
-def parse_log_line(
-    line: str, line_number: int = 0, *, delimiter: str | None = None
-) -> LogRecord:
-    """Parse one log line into a LogRecord.
-
-    Fields in order: client_id, user_id, timestamp, video_id, status code,
-    bytes sent. Extra trailing fields are ignored. The default splits on
-    whitespace; pass delimiter="," for the comma-separated variant.
-    """
+def _fields(
+    line: str, line_number: int, delimiter: str | None
+) -> tuple[str, str, int, str, int, int]:
+    """The six validated fields of one log line, or LogParseError."""
     fields = line.split(delimiter) if delimiter else line.split()
     if delimiter:
         fields = [f.strip() for f in fields]
@@ -87,25 +86,64 @@ def parse_log_line(
             f"non-numeric timestamp, status or bytes in {fields[:6]!r}", line_number
         ) from None
     try:
-        return LogRecord(client_id, user_id, timestamp, video_id, status_code, bytes_sent)
+        _check_record(client_id, timestamp, video_id, bytes_sent)
     except ValueError as exc:
         raise LogParseError(str(exc), line_number) from None
+    return client_id, user_id, timestamp, video_id, status_code, bytes_sent
 
 
-def parse_log_lines(lines: Iterable[str], *, delimiter: str | None = None) -> list[LogRecord]:
-    """Parse a whole log; blank lines and '#' comment lines are skipped."""
-    records = []
+def _read_lines(
+    lines: Iterable[str], delimiter: str | None
+) -> Iterator[tuple[str, str, int, str, int, int]]:
+    """Validated fields of every line; blank lines and '#' comment lines are skipped."""
     for number, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        records.append(parse_log_line(stripped, number, delimiter=delimiter))
-    return records
+        yield _fields(stripped, number, delimiter)
+
+
+def parse_log_line(
+    line: str, line_number: int = 0, *, delimiter: str | None = None
+) -> LogRecord:
+    """Parse one log line into a LogRecord.
+
+    Fields in order: client_id, user_id, timestamp, video_id, status code,
+    bytes sent. Extra trailing fields are ignored. The default splits on
+    whitespace; pass delimiter="," for the comma-separated variant.
+    """
+    return LogRecord(*_fields(line, line_number, delimiter))
+
+
+def parse_log_lines(lines: Iterable[str], *, delimiter: str | None = None) -> list[LogRecord]:
+    """Parse a whole log; blank lines and '#' comment lines are skipped."""
+    return [LogRecord(*fields) for fields in _read_lines(lines, delimiter)]
 
 
 def parse_log_file(path, *, delimiter: str | None = None) -> list[LogRecord]:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_log_lines(handle, delimiter=delimiter)
+
+
+def read_events(
+    lines: Iterable[str],
+    *,
+    delimiter: str | None = None,
+    status_filter: frozenset[int] | set[int] = DEFAULT_STATUS_FILTER,
+) -> list[AccessEvent]:
+    """Validate every line of a log and keep the events whose status passes.
+
+    Equal to `preprocess(parse_log_lines(lines, delimiter=delimiter),
+    status_filter)`, with the same errors, but builds no LogRecord, and
+    each distinct client or video id string is stored once.
+    """
+    ids: dict[str, str] = {}
+    intern = ids.setdefault
+    return [
+        AccessEvent(intern(client_id, client_id), timestamp, intern(video_id, video_id))
+        for client_id, _, timestamp, video_id, status_code, _ in _read_lines(lines, delimiter)
+        if status_code in status_filter
+    ]
 
 
 def preprocess(

@@ -121,7 +121,8 @@ def sliding_run(
     evaluation window. A client's membership is the cluster of its latest
     pattern. Windows with no usable patterns yield an empty result; a window
     whose training runs out of clusters records the error on its result and
-    the remaining windows still run. Each window's patterns are extracted
+    the remaining windows still run. A training that reaches max_epochs
+    without converging logs a warning. Each window's patterns are extracted
     once and reused by every history that includes it.
     """
     if len(windows) < 2:
@@ -145,6 +146,10 @@ def sliding_run(
         except CapacityError as exc:
             results.append((w, EvaluationResult((), (), str(exc))))
             continue
+        if not assignment.converged:
+            log.warning(
+                "window %d: training did not converge in %d epochs", w, assignment.epochs
+            )
         membership: dict[str, int] = {}
         for pattern, cluster in zip(patterns, assignment.clusters):
             membership[pattern.client_id] = cluster  # later sessions overwrite

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import logging
+from pathlib import Path
+
 import pytest
 
 from vodprefetch.art1 import load_snapshot, render_snapshot
@@ -10,6 +13,7 @@ from vodprefetch.cli import (
     EXIT_USAGE,
     SweepPoint,
     UsageError,
+    _load_config_file,
     _parse_float_list,
     _parse_hour_key,
     main,
@@ -84,6 +88,30 @@ def test_sweep_records_capacity_per_point():
 def test_render_cluster_counts_skips_errors():
     points = [SweepPoint(0.3, 4), SweepPoint(0.5, None, "out of clusters")]
     assert render_cluster_counts(points) == "vigilance,clusters\n0.3,4\n"
+
+
+def test_example_config_loads():
+    config = _load_config_file(str(Path(__file__).parents[1] / "configs" / "example.ini"))
+    assert config.workload == WorkloadConfig(
+        num_clients=50,
+        num_videos=200,
+        num_groups=5,
+        in_group_prob=0.9,
+        zipf_exponent=0.8,
+        requests_min=140,
+        requests_max=160,
+        num_session_windows=3,
+        shared_pool=0,
+        category_schedule={hour: (4.0, 1.0, 1.0, 1.0, 1.0) for hour in (18, 19, 20)},
+        seed=7,
+        window_spacing=86400,
+    )
+
+
+def test_unknown_workload_key_is_usage_error(tmp_path, capsys):
+    ini = write_ini(tmp_path, SMALL_INI.replace("num_clients", "num_client"))
+    assert main(["--config", ini, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "'num_client'" in capsys.readouterr().err
 
 
 # --- end-to-end runs ---
@@ -180,6 +208,15 @@ def test_replay_whitespace_log(tmp_path):
     assert main(["--input", str(trace), "--out", str(out)]) == EXIT_OK
     assert not (out / "trace.log").exists()  # replay mode writes no trace
     assert (out / "metrics.csv").exists()
+
+
+def test_replay_of_generated_trace_gives_same_outputs(tmp_path):
+    generated, replayed = tmp_path / "generated", tmp_path / "replayed"
+    assert main(["--config", write_ini(tmp_path), "--out", str(generated)]) == EXIT_OK
+    trace = generated / "trace.log"
+    assert main(["--input", str(trace), "--out", str(replayed)]) == EXIT_OK
+    for name in ("metrics.csv", "cluster_counts.csv", "network.snapshot"):
+        assert (generated / name).read_bytes() == (replayed / name).read_bytes(), name
 
 
 def test_replay_csv_log(tmp_path):
@@ -296,3 +333,24 @@ def test_force_assign_recovers_capacity(tmp_path):
     assert code == EXIT_OK
     lines = (out / "cluster_counts.csv").read_text().splitlines()
     assert lines == ["vigilance,clusters", "0,1", "0.5,1"]
+
+
+def test_unconverged_trainings_warn_once_each(tmp_path, caplog):
+    out = tmp_path / "out"
+    code = main(["--config", write_ini(tmp_path), "--out", str(out), "--max-epochs", "1"])
+    assert code == EXIT_OK
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    # two windows give one sliding training; the default grid has six points
+    assert sorted(warnings) == sorted(
+        ["window 0: training did not converge in 1 epochs"]
+        + [
+            f"vigilance {value:g}: training did not converge in 1 epochs"
+            for value in (0.30, 0.35, 0.40, 0.45, 0.475, 0.50)
+        ]
+    )
+
+
+def test_converged_run_logs_no_warning(tmp_path, caplog):
+    out = tmp_path / "out"
+    assert main(["--config", write_ini(tmp_path), "--out", str(out)]) == EXIT_OK
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vodprefetch.logs import (
     AccessEvent,
@@ -13,6 +15,7 @@ from vodprefetch.logs import (
     parse_log_line,
     parse_log_lines,
     preprocess,
+    read_events,
     segment_sessions,
 )
 
@@ -114,6 +117,109 @@ def test_preprocess_empty():
 def test_preprocess_drops_unused_fields():
     (event,) = preprocess([LogRecord("c1", "u9", 50, "v1", 200, 912)])
     assert event == AccessEvent("c1", 50, "v1")
+
+
+def test_access_event_is_immutable():
+    event = AccessEvent("c1", 50, "v1")
+    with pytest.raises(AttributeError):
+        event.timestamp = 60
+
+
+# --- one-pass reading ---
+
+STATUSES = (200, 206, 304, 404, 500)
+ids = st.text(alphabet="abc019", min_size=1, max_size=3)
+
+
+@st.composite
+def record_fields(draw):
+    return [
+        draw(ids),
+        draw(ids),
+        str(draw(st.integers(0, 10**6))),
+        draw(ids),
+        str(draw(st.sampled_from(STATUSES))),
+        str(draw(st.integers(0, 10**6))),
+    ]
+
+
+def bad_fields(draw, fields, delimiter):
+    """Break one well-formed line in a way parsing must reject."""
+    kinds = ["short", "non-numeric", "negative timestamp", "negative bytes"]
+    if delimiter:
+        kinds += ["empty client", "empty video"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "short":
+        return fields[: draw(st.integers(1, 5))]
+    if kind == "non-numeric":
+        fields[draw(st.sampled_from([2, 4, 5]))] = "x1"
+    elif kind == "negative timestamp":
+        fields[2] = "-" + str(draw(st.integers(1, 10**6)))
+    elif kind == "negative bytes":
+        fields[5] = "-" + str(draw(st.integers(1, 10**6)))
+    elif kind == "empty client":
+        fields[0] = ""
+    else:
+        fields[3] = " "
+    return fields
+
+
+@st.composite
+def logs(draw):
+    """(lines, delimiter, has_bad_line): a random log, maybe with one malformed line."""
+    delimiter = draw(st.sampled_from([None, ","]))
+    sep = draw(st.sampled_from([",", ", "] if delimiter else [" ", "\t", "  "]))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["record", "record", "record", "comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["", "  "])) + "# client_id user_id ...")
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        else:
+            fields = draw(record_fields()) + draw(st.lists(ids, max_size=2))
+            lines.append(draw(st.sampled_from(["", "  "])) + sep.join(fields))
+    has_bad_line = draw(st.booleans())
+    if has_bad_line:
+        bad = sep.join(bad_fields(draw, draw(record_fields()), delimiter))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return [line + "\n" for line in lines], delimiter, has_bad_line
+
+
+def outcome(read):
+    try:
+        return read(), None
+    except LogParseError as exc:
+        return None, (str(exc), exc.line_number)
+
+
+@given(logs(), st.frozensets(st.sampled_from(STATUSES)))
+@settings(max_examples=400, deadline=None)
+def test_read_events_equals_parse_then_preprocess(log, status_filter):
+    lines, delimiter, has_bad_line = log
+    one_pass = outcome(
+        lambda: read_events(lines, delimiter=delimiter, status_filter=status_filter)
+    )
+    two_pass = outcome(
+        lambda: preprocess(parse_log_lines(lines, delimiter=delimiter), status_filter)
+    )
+    assert one_pass == two_pass
+    assert (one_pass[1] is not None) == has_bad_line
+
+
+def test_read_events_rejects_bad_line_whose_status_is_filtered():
+    lines = ["c1 u1 10 v1 200 5", "c1 u1 20 v2 404 -5"]
+    with pytest.raises(LogParseError) as err:
+        read_events(lines)
+    assert err.value.line_number == 2
+    assert str(err.value) == "line 2: negative bytes_sent -5"
+
+
+def test_read_events_stores_each_id_once():
+    lines = ["c1 u1 10 v1 200 5", "c1 u1 20 v1 200 5", "v1 u1 30 c1 200 5"]
+    first, second, third = read_events(lines)
+    assert first.client_id is second.client_id is third.video_id
+    assert first.video_id is second.video_id is third.client_id
 
 
 # --- session segmentation ---
