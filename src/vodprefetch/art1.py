@@ -106,10 +106,22 @@ def init_network(config: Art1Config) -> Art1Network:
     return Art1Network(config)
 
 
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _to_mask(pattern: Sequence[int], dim: int, name: str = "pattern") -> int:
     """Bitmask of a dense 0/1 pattern of length dim; the one place inputs are checked."""
     if len(pattern) != dim:
         raise ValueError(f"{name} has length {len(pattern)}, expected {dim}")
+    # Fast path: a pattern of small ints (or bytes) becomes one byte per
+    # element; when every byte is 0 or 1 they are the mask's digits. Any
+    # other pattern goes through the element loop, which names the bad entry.
+    try:
+        raw = bytes(pattern)
+    except (TypeError, ValueError):
+        raw = b""
+    if raw and len(raw) == dim and not raw.translate(None, b"\x00\x01"):
+        return int(raw[::-1].translate(_BINARY_DIGITS), 2)
     mask = 0
     for i, value in enumerate(pattern):
         if value == 1:
@@ -188,31 +200,58 @@ def similarity(pattern: Sequence[int], prototype: Sequence[int]) -> float:
     return (x & _to_mask(prototype, len(prototype), "prototype")).bit_count() / x.bit_count()
 
 
-def _present(net: Art1Network, x: int, force_assign: bool) -> tuple[int, list[int]]:
+def _tables(protos: list[int]) -> list[tuple[float, ...]]:
+    return [_match_table(t.bit_count()) for t in protos]
+
+
+def _learn(protos: list[int], tables: list[tuple[float, ...]], j: int, x: int) -> None:
+    t = protos[j]
+    if t & x != t:
+        protos[j] = t = t & x
+        tables[j] = _match_table(t.bit_count())
+
+
+def _present(
+    net: Art1Network, tables: list[tuple[float, ...]], x: int, force_assign: bool
+) -> tuple[int, tuple[int, ...]]:
+    # tables[j] is _match_table(|t_j|) for prototype j; _learn and cluster
+    # creation keep it in step with net.prototypes.
     protos = net.prototypes
-    values = _match_values(net, x)
     size = x.bit_count()
     vigilance = net.config.vigilance
-    rejected: list[int] = []
-    similarities: list[float] = []
-    # A stable sort keeps equal values in ascending index order even when
-    # reversed, so this is the order repeated select_winner calls visit.
-    for j in sorted(range(len(values)), key=values.__getitem__, reverse=True):
-        value = (x & protos[j]).bit_count() / size
-        if value >= vigilance:
-            protos[j] &= x
+    overlaps = [(x & t).bit_count() for t in protos]
+    rejected: tuple[int, ...] = ()
+    if overlaps:
+        values = [table[k] for table, k in zip(tables, overlaps)]
+        # The lowest-index maximum is the first cluster select_winner picks;
+        # most presentations stop there, so the full order is only sorted
+        # after it fails vigilance.
+        j = values.index(max(values))
+        if overlaps[j] / size >= vigilance:
+            _learn(protos, tables, j, x)
             return j, rejected
-        rejected.append(j)
-        similarities.append(value)
+        # A stable sort keeps equal values in ascending index order even
+        # when reversed, so this is the order repeated select_winner calls
+        # visit, and its head is j.
+        order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+        for n in range(1, len(order)):
+            j = order[n]
+            if overlaps[j] / size >= vigilance:
+                _learn(protos, tables, j, x)
+                return j, tuple(order[:n])
+        rejected = tuple(order)
     if len(protos) < net.config.max_clusters:
         protos.append(x)
+        tables.append(_match_table(size))
         return len(protos) - 1, rejected
-    best_similarity = max(similarities)
-    best_cluster = min(j for j, v in zip(rejected, similarities) if v == best_similarity)
+    # Every cluster was rejected; similarity grows with overlap, so the
+    # closest one is the lowest-index maximum overlap.
+    best = max(overlaps)
+    best_cluster = overlaps.index(best)
     if force_assign:
-        protos[best_cluster] &= x
+        _learn(protos, tables, best_cluster, x)
         return best_cluster, rejected
-    raise CapacityError(best_cluster, best_similarity)
+    raise CapacityError(best_cluster, best / size)
 
 
 def present_pattern(
@@ -230,7 +269,7 @@ def present_pattern(
     x = _to_mask(pattern, net.config.input_dim)
     if not x:
         raise ValueError("cannot present an all-zero pattern")
-    index, _ = _present(net, x, force_assign)
+    index, _ = _present(net, _tables(net.prototypes), x, force_assign)
     return index
 
 
@@ -259,14 +298,15 @@ def train(
     rejections: list[tuple[int, ...]] = []
     epochs = 0
     converged = False
+    tables = _tables(net.prototypes)
     for _ in range(net.config.max_epochs):
         epochs += 1
         clusters = []
         rejections = []
         for x in masks:
-            index, rejected = _present(net, x, force_assign)
+            index, rejected = _present(net, tables, x, force_assign)
             clusters.append(index)
-            rejections.append(tuple(rejected))
+            rejections.append(rejected)
         if previous is not None and clusters == previous:
             converged = True
             break

@@ -181,7 +181,7 @@ def run(config: ExperimentConfig) -> int:
         try:
             with open(config.source, "r", encoding="utf-8") as handle:
                 events = read_events(handle, delimiter=delimiter)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read {config.source}: {exc}") from exc
 
     if not events:
@@ -324,7 +324,7 @@ def _load_config_file(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise UsageError(f"bad config {path}: {exc}") from exc

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
 from vodprefetch.art1 import (
     Art1Config,
     CapacityError,
+    _to_mask,
     init_network,
     load_snapshot,
     match_values,
@@ -56,6 +58,63 @@ def test_init_network_is_empty():
     net = net_with(dim=5)
     assert net.active_clusters == 0
     assert net.top_down == [] and net.bottom_up == []
+
+
+# --- dense pattern to bitmask ---
+
+
+def loop_mask(pattern, dim, name="pattern"):
+    """The element-by-element conversion the fast path must agree with."""
+    if len(pattern) != dim:
+        raise ValueError(f"{name} has length {len(pattern)}, expected {dim}")
+    mask = 0
+    for i, value in enumerate(pattern):
+        if value == 1:
+            mask |= 1 << i
+        elif value != 0:
+            raise ValueError(f"{name} element {i} is {value!r}, expected 0 or 1")
+    return mask
+
+
+def test_to_mask_agrees_with_element_loop():
+    rng = random.Random(5)
+    for _ in range(300):
+        dim = rng.randint(1, 500)
+        bits = [int(rng.random() < rng.random()) for _ in range(dim)]
+        # array("H") exposes two bytes per element, so bytes() of it is no
+        # longer one byte per input.
+        for pattern in (tuple(bits), bits, bytes(bits), array("B", bits), array("H", bits)):
+            assert _to_mask(pattern, dim) == loop_mask(pattern, dim)
+    assert _to_mask((), 0) == loop_mask((), 0) == 0
+
+
+def test_to_mask_accepts_bool_and_float_ones():
+    pattern = (True, 0, 1.0, False, 0.0)
+    assert _to_mask(pattern, 5) == loop_mask(pattern, 5) == 0b101
+
+
+@pytest.mark.parametrize(
+    "pattern, dim",
+    [
+        ((1, 0, 1), 4),
+        (b"\x01\x00", 3),
+        ((0, 1, 2), 3),
+        ((1, -1, 0), 3),
+        ((0.5, 1, 0), 3),
+        ((1, 0, None), 3),
+        (("1", 0, 1), 3),
+        ("101", 3),
+        (b"\x01\x02", 2),
+        (array("b", [0, -1]), 2),
+        (array("H", [0, 2]), 2),
+    ],
+)
+def test_to_mask_errors_match_element_loop(pattern, dim):
+    with pytest.raises(ValueError) as expected:
+        loop_mask(pattern, dim, "pattern 4")
+    with pytest.raises(ValueError) as actual:
+        _to_mask(pattern, dim, "pattern 4")
+    assert str(actual.value) == str(expected.value)
 
 
 # --- match values ---

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import itertools
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,7 +11,9 @@ from vodprefetch.art1 import (
     Art1Config,
     CapacityError,
     init_network,
+    load_snapshot,
     present_pattern,
+    save_snapshot,
     select_winner,
     similarity,
     train,
@@ -111,14 +117,17 @@ def test_training_agrees_with_reference(case, vigilance, epochs):
     assert net.bottom_up == ref_weights
 
 
-def _straight_line_train(patterns, vigilance, max_clusters, max_epochs, force_assign):
+def _straight_line_train(
+    patterns, vigilance, max_clusters, max_epochs, force_assign, prototypes=()
+):
     """Cluster search spelled out with repeated select_winner calls.
 
-    Returns (clusters, rejections, prototypes, capacity) for the last epoch
-    run; capacity is (best_cluster, best_similarity) when a presentation
-    found no cluster and force_assign was off, and training stops there.
+    Starts from the dense `prototypes` rows given (none by default). Returns
+    (clusters, rejections, prototypes, capacity) for the last epoch run;
+    capacity is (best_cluster, best_similarity) when a presentation found no
+    cluster and force_assign was off, and training stops there.
     """
-    prototypes: list[list[int]] = []
+    prototypes = [list(row) for row in prototypes]
     previous = None
     clusters: list[int] = []
     rejections: list[tuple[int, ...]] = []
@@ -185,3 +194,75 @@ def test_search_order_matches_repeated_select_winner(case_cap, vigilance, epochs
         assert list(assignment.clusters) == clusters
         assert list(assignment.rejections) == rejections
     assert net.top_down == prototypes
+
+
+def _wide_patterns(seed, count):
+    """Sparse patterns 64 to 400 wide: noisy copies of overlapping templates.
+
+    The templates share one small pool of inputs, so at vigilance 0.6 the
+    search resets often and ends with dozens of clusters.
+    """
+    rng = random.Random(seed)
+    dim = rng.randint(64, 400)
+    pool = rng.sample(range(dim), 40)
+    templates = [rng.sample(pool, rng.randint(4, 14)) for _ in range(rng.randint(6, 12))]
+    patterns = []
+    for _ in range(count):
+        bits = {i for i in rng.choice(templates) if rng.random() < 0.8}
+        bits.update(rng.sample(range(dim), rng.randint(1, 3)))
+        patterns.append(tuple(int(i in bits) for i in range(dim)))
+    return dim, patterns
+
+
+def _assert_train_matches_straight_line(net, patterns, force):
+    cfg = net.config
+    clusters, rejections, prototypes, capacity = _straight_line_train(
+        patterns, cfg.vigilance, cfg.max_clusters, cfg.max_epochs, force, net.top_down
+    )
+    try:
+        assignment = train(net, patterns, force_assign=force)
+    except CapacityError as exc:
+        assert capacity == (exc.best_cluster, exc.best_similarity)
+    else:
+        assert capacity is None
+        assert list(assignment.clusters) == clusters
+        assert list(assignment.rejections) == rejections
+    assert net.top_down == prototypes
+    return capacity, rejections
+
+
+@pytest.mark.parametrize(
+    "epochs, capped, force", itertools.product((1, 2, 3, 4), (False, True), (False, True))
+)
+def test_wide_patterns_match_straight_line(epochs, capped, force):
+    seed = 10 * epochs + 2 * capped + force
+    dim, patterns = _wide_patterns(seed, 100)
+    cap = 30 if capped else len(patterns)
+    net = init_network(Art1Config(dim, 0.6, cap, epochs))
+    capacity, rejections = _assert_train_matches_straight_line(net, patterns, force)
+    # The data must exercise what the test is for: many clusters, and
+    # many resets in a first epoch or an exhausted cap.
+    if capped:
+        assert net.active_clusters == cap
+        assert force or capacity is not None
+    else:
+        assert net.active_clusters >= 40
+    if epochs == 1 and capacity is None:
+        assert sum(map(len, rejections)) >= 100
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_train_resumes_from_existing_clusters(tmp_path, capped):
+    dim, patterns = _wide_patterns(7, 120)
+    first, second = patterns[:60], patterns[60:]
+    cap = 25 if capped else len(patterns)
+    net = init_network(Art1Config(dim, 0.6, cap, 2))
+    train(net, first, force_assign=True)
+    path = tmp_path / "net.snapshot"
+    save_snapshot(net, path)
+    loaded = load_snapshot(path)
+    assert loaded.prototypes == net.prototypes
+    # A second train call on the same network, and one on the reloaded copy,
+    # both start their search from the prototypes already learned.
+    _assert_train_matches_straight_line(net, second, True)
+    _assert_train_matches_straight_line(loaded, second, True)

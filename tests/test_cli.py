@@ -268,6 +268,24 @@ def test_missing_input_is_data_error(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_non_utf8_input_is_data_error(tmp_path, capsys):
+    trace = tmp_path / "latin.log"
+    trace.write_bytes(b"c1 u1 100 v\xff 200 100\n")
+    assert main(["--input", str(trace), "--out", str(tmp_path / "out")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {trace}: ")
+    assert "Traceback" not in err
+
+
+def test_non_utf8_config_is_usage_error(tmp_path, capsys):
+    ini = tmp_path / "latin.ini"
+    ini.write_bytes(b"[experiment]\nseed = 3 # \xff\n")
+    assert main(["--config", str(ini), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {ini}: ")
+    assert "Traceback" not in err
+
+
 def test_malformed_input_is_data_error(tmp_path, capsys):
     trace = tmp_path / "bad.log"
     trace.write_text("c1 u1 notatimestamp v1 200 100\n", encoding="utf-8")
