@@ -26,7 +26,6 @@ from .art1 import (
 from .logs import (
     AccessEvent,
     LogParseError,
-    LogRecord,
     Session,
     group_sessions_by_window,
     parse_log_file,
@@ -57,16 +56,32 @@ from .prefetch import (
     sliding_run,
     write_metrics_csv,
 )
-from .workload import (
-    GroundTruth,
-    WorkloadConfig,
-    ZipfSampler,
-    generate,
-    plant_ground_truth,
-    popularity_histogram,
-    write_ground_truth,
-    write_trace_log,
+
+# The generator's names, LogRecord among them, load on first access
+# (PEP 562), so that importing the package for a replay run does not
+# import the generator, `random` or `dataclasses`.
+_WORKLOAD_NAMES = frozenset(
+    {
+        "GroundTruth",
+        "LogRecord",
+        "WorkloadConfig",
+        "ZipfSampler",
+        "generate",
+        "plant_ground_truth",
+        "popularity_histogram",
+        "write_ground_truth",
+        "write_trace_log",
+    }
 )
+
+
+def __getattr__(name: str):
+    if name in _WORKLOAD_NAMES:
+        from . import workload
+
+        return getattr(workload, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

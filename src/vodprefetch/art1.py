@@ -17,9 +17,8 @@ accumulated in ascending index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .fileio import atomic_write
 
@@ -36,22 +35,30 @@ class CapacityError(RuntimeError):
         self.best_similarity = best_similarity
 
 
-@dataclass(frozen=True)
-class Art1Config:
+class _Art1Fields(NamedTuple):
     input_dim: int
     vigilance: float
     max_clusters: int
     max_epochs: int = 10
 
-    def __post_init__(self) -> None:
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
-        if not 0.0 <= self.vigilance <= 1.0:
-            raise ValueError(f"vigilance must be in [0, 1], got {self.vigilance}")
-        if self.max_clusters < 1:
-            raise ValueError(f"max_clusters must be >= 1, got {self.max_clusters}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+
+class Art1Config(_Art1Fields):
+    """Network shape and training limits, checked when built."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, input_dim: int, vigilance: float, max_clusters: int, max_epochs: int = 10
+    ) -> Art1Config:
+        if input_dim < 1:
+            raise ValueError(f"input_dim must be >= 1, got {input_dim}")
+        if not 0.0 <= vigilance <= 1.0:
+            raise ValueError(f"vigilance must be in [0, 1], got {vigilance}")
+        if max_clusters < 1:
+            raise ValueError(f"max_clusters must be >= 1, got {max_clusters}")
+        if max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
+        return super().__new__(cls, input_dim, vigilance, max_clusters, max_epochs)
 
 
 class Art1Network:
@@ -78,8 +85,7 @@ class Art1Network:
         return [_weight_row(t, dim) for t in self.prototypes]
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """Final pattern-to-cluster mapping with per-pattern vigilance rejections.
 
     `clusters[k]` is the cluster of pattern k after the last epoch and
@@ -93,8 +99,7 @@ class Assignment:
     epochs: int
 
 
-@dataclass(frozen=True)
-class ClusterReport:
+class ClusterReport(NamedTuple):
     cluster_index: int
     client_ids: tuple[str, ...]
     prototype: tuple[int, ...]

@@ -9,13 +9,11 @@ plus the snapshot of the network trained at the configured vigilance.
 from __future__ import annotations
 
 import argparse
-import configparser
-import dataclasses
 import logging
+import os
 import re
 import sys
-from dataclasses import dataclass, field
-from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 from .art1 import Art1Config, Art1Network, CapacityError, init_network, save_snapshot, train
 from .fileio import atomic_write
@@ -41,13 +39,11 @@ from .prefetch import (
     sliding_run,
     write_metrics_csv,
 )
-from .workload import (
-    WorkloadConfig,
-    generate,
-    validate_feasibility,
-    write_ground_truth,
-    write_trace_log,
-)
+
+# The generator (and with it `random` and `dataclasses`) is imported only by
+# the generated-mode and --config code paths; a replay run never loads it.
+if TYPE_CHECKING:
+    from .workload import WorkloadConfig
 
 log = logging.getLogger(__name__)
 
@@ -69,8 +65,13 @@ class DataError(Exception):
     """The input trace cannot be used."""
 
 
-@dataclass
 class ExperimentConfig:
+    """Every knob of one run; the class attributes are the defaults.
+
+    Built with keyword arguments, e.g. ExperimentConfig(vigilance=0.5), and
+    mutable, so that a config file and then the flags can override it.
+    """
+
     source: str = "generated"  # "generated" or a log file path
     log_format: str = "whitespace"  # or "csv"
     out_dir: str = "out"
@@ -86,6 +87,12 @@ class ExperimentConfig:
     dump_patterns: bool = False
     force_assign: bool = False
     workload: WorkloadConfig | None = None
+
+    def __init__(self, **overrides) -> None:
+        for name, value in overrides.items():
+            if name not in ExperimentConfig.__annotations__:
+                raise TypeError(f"ExperimentConfig got an unexpected keyword argument {name!r}")
+            setattr(self, name, value)
 
     def validate(self) -> None:
         if not 0.0 <= self.vigilance <= 1.0:
@@ -111,12 +118,27 @@ class ExperimentConfig:
             raise UsageError(f"unknown log format {self.log_format!r}")
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
+    """One vigilance grid point; == and hash leave out the trained `network`."""
+
     vigilance: float
     clusters: int | None
     error: str | None = None
-    network: Art1Network | None = field(default=None, compare=False, repr=False)
+    network: Art1Network | None = None
+
+    def __eq__(self, other):
+        if not isinstance(other, SweepPoint):
+            return NotImplemented
+        return self[:3] == other[:3]
+
+    def __ne__(self, other):
+        # Needed as well: tuple's own __ne__ would compare the network.
+        if not isinstance(other, SweepPoint):
+            return NotImplemented
+        return self[:3] != other[:3]
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
 
 def sweep_vigilance(
@@ -165,15 +187,17 @@ def render_cluster_counts(points: list[SweepPoint]) -> str:
 def run(config: ExperimentConfig) -> int:
     """Run one experiment end to end; returns the process exit code."""
     config.validate()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = config.out_dir or os.curdir
+    os.makedirs(out, exist_ok=True)
 
     if config.source == "generated":
         if config.workload is None:
             raise UsageError("generated mode needs a workload config")
+        from .workload import generate, write_ground_truth, write_trace_log
+
         records, truth = generate(config.workload)
-        write_trace_log(records, out / "trace.log")
-        write_ground_truth(truth, out / "ground_truth.csv")
+        write_trace_log(records, os.path.join(out, "trace.log"))
+        write_ground_truth(truth, os.path.join(out, "ground_truth.csv"))
         log.info("generated %d records for %d clients", len(records), config.workload.num_clients)
         events = preprocess(records)
     else:
@@ -202,7 +226,7 @@ def run(config: ExperimentConfig) -> int:
         raise DataError("no pattern cleared the frequency threshold; nothing to cluster")
 
     if config.dump_patterns:
-        write_pattern_matrix(all_patterns, base, out / "patterns.csv")
+        write_pattern_matrix(all_patterns, base, os.path.join(out, "patterns.csv"))
 
     # The sentinel gives every pattern its own potential cluster, so the cap
     # only ever binds when the user asks for one explicitly.
@@ -229,14 +253,14 @@ def run(config: ExperimentConfig) -> int:
                     result.error,
                 )
                 capacity_failures.append(result.error)
-        write_metrics_csv(results, out / "metrics.csv")
+        write_metrics_csv(results, os.path.join(out, "metrics.csv"))
         log.info(
             "member-weighted prefetch accuracy %.4f over %d windows",
             member_weighted_accuracy(results),
             len(windows),
         )
     else:
-        atomic_write(out / "metrics.csv", METRICS_HEADER + "\n")
+        atomic_write(os.path.join(out, "metrics.csv"), METRICS_HEADER + "\n")
         log.warning("only one session window; prefetch metrics skipped")
 
     bit_rows = [p.bits for p in all_patterns]
@@ -247,7 +271,7 @@ def run(config: ExperimentConfig) -> int:
         force_assign=config.force_assign,
     )
     points = sweep_vigilance(bit_rows, config.sweep, **train_args)
-    atomic_write(out / "cluster_counts.csv", render_cluster_counts(points))
+    atomic_write(os.path.join(out, "cluster_counts.csv"), render_cluster_counts(points))
     # The snapshot is the network of the grid point at the configured
     # vigilance; only a vigilance off the grid needs a training of its own.
     final = next((point for point in points if point.vigilance == config.vigilance), None)
@@ -259,7 +283,7 @@ def run(config: ExperimentConfig) -> int:
             log.error("vigilance %g: %s", point.vigilance, point.error)
             capacity_failures.append(point.error)
     if final.network is not None:
-        save_snapshot(final.network, out / "network.snapshot")
+        save_snapshot(final.network, os.path.join(out, "network.snapshot"))
 
     return EXIT_CAPACITY if capacity_failures else EXIT_OK
 
@@ -320,6 +344,11 @@ def _parse_hour_key(key: str) -> list[int]:
 
 
 def _load_config_file(path: str) -> ExperimentConfig:
+    import configparser
+    import dataclasses
+
+    from .workload import WorkloadConfig
+
     parser = configparser.ConfigParser()
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -414,6 +443,10 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
     config.validate()
 
     if config.source == "generated":
+        import dataclasses
+
+        from .workload import WorkloadConfig, validate_feasibility
+
         base_workload = config.workload or WorkloadConfig()
         try:
             config.workload = dataclasses.replace(

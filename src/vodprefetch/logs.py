@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from .workload import LogRecord
 
 DEFAULT_MAX_IDLE_SECONDS = 1800
 DEFAULT_STATUS_FILTER = frozenset({200})
+
+
+def __getattr__(name: str):
+    # LogRecord is defined by the generator, its only producer, so that a
+    # replay run never imports the generator or dataclasses for it.
+    if name == "LogRecord":
+        from .workload import LogRecord
+
+        return LogRecord
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class LogParseError(ValueError):
@@ -28,21 +41,6 @@ def _check_record(client_id: str, timestamp: int, video_id: str, bytes_sent: int
         raise ValueError(f"negative bytes_sent {bytes_sent}")
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One raw request: who asked for which video, when, and how it went."""
-
-    client_id: str
-    user_id: str
-    timestamp: int
-    video_id: str
-    status_code: int
-    bytes_sent: int
-
-    def __post_init__(self) -> None:
-        _check_record(self.client_id, self.timestamp, self.video_id, self.bytes_sent)
-
-
 class AccessEvent(NamedTuple):
     """Reduced request record: client, time and video."""
 
@@ -51,8 +49,7 @@ class AccessEvent(NamedTuple):
     video_id: str
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(NamedTuple):
     """A client's maximal run of events with bounded think time."""
 
     client_id: str
@@ -112,11 +109,15 @@ def parse_log_line(
     bytes sent. Extra trailing fields are ignored. The default splits on
     whitespace; pass delimiter="," for the comma-separated variant.
     """
+    from .workload import LogRecord
+
     return LogRecord(*_fields(line, line_number, delimiter))
 
 
 def parse_log_lines(lines: Iterable[str], *, delimiter: str | None = None) -> list[LogRecord]:
     """Parse a whole log; blank lines and '#' comment lines are skipped."""
+    from .workload import LogRecord
+
     return [LogRecord(*fields) for fields in _read_lines(lines, delimiter)]
 
 
@@ -175,7 +176,7 @@ def segment_sessions(
         by_client.setdefault(event.client_id, []).append(event)
     sessions = []
     for client_id in sorted(by_client):
-        ordered = sorted(by_client[client_id], key=lambda ev: ev.timestamp)
+        ordered = sorted(by_client[client_id], key=attrgetter("timestamp"))
         run: list[AccessEvent] = []
         for event in ordered:
             if run and event.timestamp - run[-1].timestamp > maximum_idle_time:
@@ -213,5 +214,5 @@ def group_sessions_by_window(
     for key, session in keyed:
         windows[key - low].append(session)
     for window in windows:
-        window.sort(key=lambda s: (s.client_id, s.start))
+        window.sort(key=attrgetter("client_id", "start"))
     return windows

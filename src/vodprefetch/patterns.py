@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fileio import atomic_write
 from .logs import AccessEvent, Session
@@ -20,12 +19,14 @@ class UnknownVideoError(ValueError):
         self.video_id = video_id
 
 
-@dataclass(frozen=True)
-class BaseVector:
-    """Ordered universe of video URLs; defines the pattern index space."""
+class BaseVector(NamedTuple):
+    """Ordered universe of video URLs; defines the pattern index space.
+
+    `index_of` maps each URL to its position; build one with from_urls.
+    """
 
     urls: tuple[str, ...]
-    index_of: Mapping[str, int] = field(repr=False)
+    index_of: Mapping[str, int]
 
     @property
     def size(self) -> int:
@@ -47,8 +48,7 @@ def build_base_vector(events: Sequence[AccessEvent]) -> BaseVector:
     return BaseVector.from_urls(sorted({event.video_id for event in events}))
 
 
-@dataclass(frozen=True)
-class PatternVector:
+class PatternVector(NamedTuple):
     """Binary request pattern of one session."""
 
     client_id: str

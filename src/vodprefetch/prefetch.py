@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter, deque
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .art1 import (
     Art1Config,
@@ -24,30 +23,41 @@ log = logging.getLogger(__name__)
 METRICS_HEADER = "window,cluster,members,prefetched,hits,accuracy"
 
 
-@dataclass(frozen=True)
-class PrefetchPlan:
+class PrefetchPlan(NamedTuple):
     """URLs to pull into the cache for each cluster, in base-vector order."""
 
     urls_by_cluster: Mapping[int, tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class CacheMetrics:
+class _CacheMetricsFields(NamedTuple):
     cluster_index: int
     member_count: int
     prefetched_count: int
     hits: int
     accuracy: float
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.hits <= self.prefetched_count:
-            raise ValueError(
-                f"hits {self.hits} outside [0, prefetched {self.prefetched_count}]"
-            )
+
+class CacheMetrics(_CacheMetricsFields):
+    """Prefetch score of one cluster; hits can never exceed what was prefetched."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        cluster_index: int,
+        member_count: int,
+        prefetched_count: int,
+        hits: int,
+        accuracy: float,
+    ) -> CacheMetrics:
+        if not 0 <= hits <= prefetched_count:
+            raise ValueError(f"hits {hits} outside [0, prefetched {prefetched_count}]")
+        return super().__new__(
+            cls, cluster_index, member_count, prefetched_count, hits, accuracy
+        )
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
+class EvaluationResult(NamedTuple):
     """Scores of one window; `error` is set, with no metrics, when training failed."""
 
     metrics: tuple[CacheMetrics, ...]

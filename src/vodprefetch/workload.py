@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .fileio import atomic_write
-from .logs import LogRecord
+from .logs import _check_record
 
 # One visit never spreads wider than requests * MAX_STEP_SECONDS, which
 # both keeps it inside its window and keeps it a single session at the
@@ -26,6 +26,27 @@ BYTES_RANGE = (100_000, 4_000_000)
 
 LOG_HEADER = "# client_id user_id timestamp video_id status_code bytes_sent"
 GROUND_TRUTH_HEADER = "client_id,group_id"
+
+
+@dataclass(frozen=True)
+class LogRecord:
+    """One raw request: who asked for which video, when, and how it went.
+
+    Defined here, by its producer, and re-exported lazily by `logs`, whose
+    parse_log_line/parse_log_lines build it on demand; a replay run reads
+    events without it. It stays a dataclass because callers, such as the
+    benchmark's trace writer, derive records with dataclasses.replace.
+    """
+
+    client_id: str
+    user_id: str
+    timestamp: int
+    video_id: str
+    status_code: int
+    bytes_sent: int
+
+    def __post_init__(self) -> None:
+        _check_record(self.client_id, self.timestamp, self.video_id, self.bytes_sent)
 
 
 @dataclass(frozen=True)

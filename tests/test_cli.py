@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -372,3 +375,49 @@ def test_converged_run_logs_no_warning(tmp_path, caplog):
     out = tmp_path / "out"
     assert main(["--config", write_ini(tmp_path), "--out", str(out)]) == EXIT_OK
     assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+
+# --- cold start ---
+
+# Modules a replay run has no use for; each costs start-up time.
+REPLAY_NEVER_LOADS = (
+    "dataclasses",
+    "inspect",
+    "pathlib",
+    "configparser",
+    "random",
+    "vodprefetch.workload",
+)
+
+
+def loaded_at_start(argv):
+    """Which REPLAY_NEVER_LOADS modules a fresh `python3 -S` has loaded once
+    `main(argv)` has parsed the flags and assembled the config."""
+    probe = (
+        "import sys\n"
+        "import vodprefetch.cli as cli\n"
+        "cli.run = lambda config: 0\n"
+        "code = cli.main(sys.argv[1:])\n"
+        f"print(code, *[m for m in {REPLAY_NEVER_LOADS!r} if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    code, *loaded = done.stdout.split()
+    assert code == str(EXIT_OK), done.stderr
+    return loaded
+
+
+def test_replay_start_loads_no_generator_or_dataclasses(tmp_path):
+    argv = ["--input", str(tmp_path / "trace.log"), "--out", str(tmp_path / "out")]
+    assert loaded_at_start(argv) == []
+
+
+def test_generated_start_loads_the_generator(tmp_path):
+    assert "vodprefetch.workload" in loaded_at_start(["--out", str(tmp_path / "out")])
