@@ -13,15 +13,17 @@ import logging
 import os
 import re
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+# The benchmark's tracer wraps the pipeline's calls by their names in this
+# module; parse_log_file and preprocess are imported for the tracer alone.
 from .art1 import Art1Config, Art1Network, CapacityError, init_network, save_snapshot, train
 from .fileio import atomic_write
 from .logs import (
     DEFAULT_MAX_IDLE_SECONDS,
     LogParseError,
     group_sessions_by_window,
-    parse_log_file,  # unused here; the benchmark's tracer wraps cli.parse_log_file by name
+    parse_log_file,
     preprocess,
     read_events,
     segment_sessions,
@@ -39,11 +41,6 @@ from .prefetch import (
     sliding_run,
     write_metrics_csv,
 )
-
-# The generator (and with it `random` and `dataclasses`) is imported only by
-# the generated-mode and --config code paths; a replay run never loads it.
-if TYPE_CHECKING:
-    from .workload import WorkloadConfig
 
 log = logging.getLogger(__name__)
 
@@ -65,57 +62,28 @@ class DataError(Exception):
     """The input trace cannot be used."""
 
 
-class ExperimentConfig:
-    """Every knob of one run; the class attributes are the defaults.
-
-    Built with keyword arguments, e.g. ExperimentConfig(vigilance=0.5), and
-    mutable, so that a config file and then the flags can override it.
-    """
-
-    source: str = "generated"  # "generated" or a log file path
-    log_format: str = "whitespace"  # or "csv"
-    out_dir: str = "out"
-    seed: int = 7
-    maximum_idle_time: int = DEFAULT_MAX_IDLE_SECONDS
-    freq_threshold: int = DEFAULT_FREQ_THRESHOLD
-    window_spacing: int = 86400
-    history_windows: int = 0  # 0 = use all history
-    vigilance: float = 0.4
-    max_clusters: int = 0  # 0 = one slot per training pattern (can never cap)
-    max_epochs: int = 10
-    sweep: tuple[float, ...] = DEFAULT_SWEEP
-    dump_patterns: bool = False
-    force_assign: bool = False
-    workload: WorkloadConfig | None = None
-
-    def __init__(self, **overrides) -> None:
-        for name, value in overrides.items():
-            if name not in ExperimentConfig.__annotations__:
-                raise TypeError(f"ExperimentConfig got an unexpected keyword argument {name!r}")
-            setattr(self, name, value)
-
-    def validate(self) -> None:
-        if not 0.0 <= self.vigilance <= 1.0:
-            raise UsageError(f"vigilance must be in [0, 1], got {self.vigilance}")
-        for value in self.sweep:
-            if not 0.0 <= value <= 1.0:
-                raise UsageError(f"sweep value {value} outside [0, 1]")
-        if not self.sweep:
-            raise UsageError("sweep grid must not be empty")
-        if self.maximum_idle_time <= 0:
-            raise UsageError("session idle bound must be positive")
-        if self.freq_threshold < 1:
-            raise UsageError("freq_threshold must be >= 1")
-        if self.window_spacing <= 0:
-            raise UsageError("window_spacing must be positive")
-        if self.history_windows < 0:
-            raise UsageError("history_windows must be >= 0")
-        if self.max_clusters < 0:
-            raise UsageError("max_clusters must be >= 0")
-        if self.max_epochs < 1:
-            raise UsageError("max_epochs must be >= 1")
-        if self.log_format not in ("whitespace", "csv"):
-            raise UsageError(f"unknown log format {self.log_format!r}")
+def _validate(config: argparse.Namespace) -> None:
+    if not 0.0 <= config.vigilance <= 1.0:
+        raise UsageError(f"vigilance must be in [0, 1], got {config.vigilance}")
+    for value in config.sweep:
+        if not 0.0 <= value <= 1.0:
+            raise UsageError(f"sweep value {value} outside [0, 1]")
+    if not config.sweep:
+        raise UsageError("sweep grid must not be empty")
+    if config.maximum_idle_time <= 0:
+        raise UsageError("session idle bound must be positive")
+    if config.freq_threshold < 1:
+        raise UsageError("freq_threshold must be >= 1")
+    if config.window_spacing <= 0:
+        raise UsageError("window_spacing must be positive")
+    if config.history_windows < 0:
+        raise UsageError("history_windows must be >= 0")
+    if config.max_clusters < 0:
+        raise UsageError("max_clusters must be >= 0")
+    if config.max_epochs < 1:
+        raise UsageError("max_epochs must be >= 1")
+    if config.log_format not in ("whitespace", "csv"):
+        raise UsageError(f"unknown log format {config.log_format!r}")
 
 
 class SweepPoint(NamedTuple):
@@ -184,29 +152,34 @@ def render_cluster_counts(points: list[SweepPoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(config: ExperimentConfig) -> int:
-    """Run one experiment end to end; returns the process exit code."""
-    config.validate()
+def run(config: argparse.Namespace) -> int:
+    """Run one experiment end to end; returns the process exit code.
+
+    `config` holds each setting under its name in _build_parser, and
+    `workload`, the generator's WorkloadConfig.
+    """
+    _validate(config)
     out = config.out_dir or os.curdir
     os.makedirs(out, exist_ok=True)
 
+    # Generated mode writes its trace and then reads it back like a replay.
     if config.source == "generated":
         if config.workload is None:
             raise UsageError("generated mode needs a workload config")
         from .workload import generate, write_ground_truth, write_trace_log
 
         records, truth = generate(config.workload)
-        write_trace_log(records, os.path.join(out, "trace.log"))
+        source, delimiter = os.path.join(out, "trace.log"), None
+        write_trace_log(records, source)
         write_ground_truth(truth, os.path.join(out, "ground_truth.csv"))
         log.info("generated %d records for %d clients", len(records), config.workload.num_clients)
-        events = preprocess(records)
     else:
-        delimiter = "," if config.log_format == "csv" else None
-        try:
-            with open(config.source, "r", encoding="utf-8") as handle:
-                events = read_events(handle, delimiter=delimiter)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read {config.source}: {exc}") from exc
+        source, delimiter = config.source, "," if config.log_format == "csv" else None
+    try:
+        with open(source, "r", encoding="utf-8") as handle:
+            events = read_events(handle, delimiter=delimiter)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {source}: {exc}") from exc
 
     if not events:
         raise DataError("no usable events after status filtering")
@@ -263,25 +236,29 @@ def run(config: ExperimentConfig) -> int:
         atomic_write(os.path.join(out, "metrics.csv"), METRICS_HEADER + "\n")
         log.warning("only one session window; prefetch metrics skipped")
 
-    bit_rows = [p.bits for p in all_patterns]
-    train_args = dict(
+    # The snapshot is the network of the grid point at the configured
+    # vigilance; a vigilance off the grid trains as one more point, which
+    # cluster_counts.csv leaves out.
+    grid = config.sweep
+    if config.vigilance not in grid:
+        grid = (*grid, config.vigilance)
+    points = sweep_vigilance(
+        [p.bits for p in all_patterns],
+        grid,
         input_dim=base.size,
         max_clusters=max_clusters,
         max_epochs=config.max_epochs,
         force_assign=config.force_assign,
     )
-    points = sweep_vigilance(bit_rows, config.sweep, **train_args)
-    atomic_write(os.path.join(out, "cluster_counts.csv"), render_cluster_counts(points))
-    # The snapshot is the network of the grid point at the configured
-    # vigilance; only a vigilance off the grid needs a training of its own.
-    final = next((point for point in points if point.vigilance == config.vigilance), None)
-    if final is None:
-        final = sweep_vigilance(bit_rows, (config.vigilance,), **train_args)[0]
-        points.append(final)
+    atomic_write(
+        os.path.join(out, "cluster_counts.csv"),
+        render_cluster_counts(points[: len(config.sweep)]),
+    )
     for point in points:
         if point.error is not None:
             log.error("vigilance %g: %s", point.vigilance, point.error)
             capacity_failures.append(point.error)
+    final = points[grid.index(config.vigilance)]
     if final.network is not None:
         save_snapshot(final.network, os.path.join(out, "network.snapshot"))
 
@@ -296,29 +273,39 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """The one declaration of every setting: its flag, name, type and default.
+
+    A --config file's values replace the defaults, so flags override the
+    file, which overrides these.
+    """
     parser = _Parser(
         prog="vodprefetch",
         description="Cluster per-session video request patterns and score prototype prefetching.",
     )
-    parser.add_argument("--config", help="INI experiment config file")
-    parser.add_argument("--input", help="replay this log file instead of generating a trace")
-    parser.add_argument("--csv", action="store_true", help="input log fields are comma separated")
-    parser.add_argument("--out", help="output directory (default: out)")
-    parser.add_argument("--vigilance", type=float, help="vigilance threshold in [0, 1]")
-    parser.add_argument("--sweep", help="vigilance grid, comma or space separated")
-    parser.add_argument("--max-clusters", type=int, help="cluster cap (0 = one per pattern)")
-    parser.add_argument("--max-epochs", type=int, help="training pass limit")
-    parser.add_argument("--session-idle", type=int, help="maximum idle seconds inside a session")
-    parser.add_argument("--freq-threshold", type=int, help="requests per session to set a bit")
-    parser.add_argument("--window-spacing", type=int, help="session window width in seconds")
-    parser.add_argument("--history-windows", type=int, help="trailing windows to train on (0 = all)")
-    parser.add_argument("--seed", type=int, help="workload generator seed")
-    parser.add_argument(
-        "--force-assign",
-        action="store_true",
-        help="on capacity exhaustion, assign to the closest cluster instead of failing",
-    )
-    parser.add_argument("--dump-patterns", action="store_true", help="write patterns.csv")
+    add = parser.add_argument
+    add("--config", help="INI experiment config file")
+    add("--input", dest="source", default="generated", metavar="PATH",
+        help="replay this log file instead of generating a trace")
+    add("--csv", dest="log_format", action="store_const", const="csv", default="whitespace",
+        help="input log fields are comma separated")
+    add("--out", dest="out_dir", default="out", metavar="DIR",
+        help="output directory (default: out)")
+    add("--vigilance", type=float, default=0.4, help="vigilance threshold in [0, 1]")
+    add("--sweep", type=_parse_float_list, default=DEFAULT_SWEEP,
+        help="vigilance grid, comma or space separated")
+    add("--max-clusters", type=int, default=0, help="cluster cap (0 = one per pattern)")
+    add("--max-epochs", type=int, default=10, help="training pass limit")
+    add("--session-idle", dest="maximum_idle_time", type=int, default=DEFAULT_MAX_IDLE_SECONDS,
+        metavar="SECONDS", help="maximum idle seconds inside a session")
+    add("--freq-threshold", type=int, default=DEFAULT_FREQ_THRESHOLD,
+        help="requests per session to set a bit")
+    add("--window-spacing", type=int, default=86400, help="session window width in seconds")
+    add("--history-windows", type=int, default=0, help="trailing windows to train on (0 = all)")
+    add("--seed", type=int, default=7, help="workload generator seed")
+    add("--force-assign", action="store_true",
+        help="on capacity exhaustion, assign to the closest cluster instead of failing")
+    add("--dump-patterns", action="store_true", help="write patterns.csv")
+    parser.set_defaults(workload=None)
     return parser
 
 
@@ -343,44 +330,56 @@ def _parse_hour_key(key: str) -> list[int]:
     return list(range(first, last + 1))
 
 
-def _load_config_file(path: str) -> ExperimentConfig:
+# The [experiment] and [clustering] keys. Each sets the setting of its own
+# name in _build_parser, apart from the two that _KEY_DEST renames.
+_SECTION_KEYS = {
+    "experiment": ("source", "format", "out", "seed", "maximum_idle_time", "freq_threshold",
+                   "window_spacing", "history_windows", "dump_patterns", "force_assign"),
+    "clustering": ("vigilance", "max_clusters", "max_epochs", "sweep"),
+}
+_KEY_DEST = {"format": "log_format", "out": "out_dir"}
+
+
+def _load_config_file(path: str, parser: _Parser) -> dict:
+    """The settings a config file sets, by name, and its `workload`.
+
+    Each value is read as the type of the setting's default.
+    """
     import configparser
     import dataclasses
 
     from .workload import WorkloadConfig
 
-    parser = configparser.ConfigParser()
+    ini = configparser.ConfigParser()
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            parser.read_file(handle)
+            ini.read_file(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise UsageError(f"bad config {path}: {exc}") from exc
 
-    config = ExperimentConfig()
+    for section in ini.sections():
+        if section not in (*_SECTION_KEYS, "workload", "schedule"):
+            raise UsageError(f"bad config {path}: unknown section [{section}]")
+    settings = {}
     try:
-        if parser.has_section("experiment"):
-            exp = parser["experiment"]
-            config.source = exp.get("source", config.source)
-            config.log_format = exp.get("format", config.log_format)
-            config.out_dir = exp.get("out", config.out_dir)
-            config.seed = exp.getint("seed", config.seed)
-            config.maximum_idle_time = exp.getint("maximum_idle_time", config.maximum_idle_time)
-            config.freq_threshold = exp.getint("freq_threshold", config.freq_threshold)
-            config.window_spacing = exp.getint("window_spacing", config.window_spacing)
-            config.history_windows = exp.getint("history_windows", config.history_windows)
-            config.dump_patterns = exp.getboolean("dump_patterns", config.dump_patterns)
-            config.force_assign = exp.getboolean("force_assign", config.force_assign)
-        if parser.has_section("clustering"):
-            art = parser["clustering"]
-            config.vigilance = art.getfloat("vigilance", config.vigilance)
-            config.max_clusters = art.getint("max_clusters", config.max_clusters)
-            config.max_epochs = art.getint("max_epochs", config.max_epochs)
-            if art.get("sweep", None):
-                config.sweep = _parse_float_list(art["sweep"])
+        for section, keys in _SECTION_KEYS.items():
+            if not ini.has_section(section):
+                continue
+            for key, raw in ini[section].items():
+                if key not in keys:
+                    raise UsageError(f"bad config {path}: unknown [{section}] key {key!r}")
+                dest = _KEY_DEST.get(key, key)
+                default = parser.get_default(dest)
+                if isinstance(default, bool):
+                    settings[dest] = ini.getboolean(section, key)
+                elif isinstance(default, tuple):
+                    settings[dest] = _parse_float_list(raw)
+                else:
+                    settings[dest] = type(default)(raw)
         workload_kwargs = {}
-        if parser.has_section("workload"):
+        if ini.has_section("workload"):
             # Every WorkloadConfig number except those [experiment] and
             # [schedule] set, read as the type of its default.
             kinds = {
@@ -388,69 +387,47 @@ def _load_config_file(path: str) -> ExperimentConfig:
                 for f in dataclasses.fields(WorkloadConfig)
                 if f.name not in ("seed", "window_spacing", "category_schedule")
             }
-            for key, raw in parser["workload"].items():
+            for key, raw in ini["workload"].items():
                 if key not in kinds:
                     raise UsageError(f"bad config {path}: unknown [workload] key {key!r}")
                 workload_kwargs[key] = kinds[key](raw)
         schedule: dict[int, tuple[float, ...]] = {}
-        if parser.has_section("schedule"):
-            for key, raw in parser["schedule"].items():
+        if ini.has_section("schedule"):
+            for key, raw in ini["schedule"].items():
                 multipliers = _parse_float_list(raw)
                 for hour in _parse_hour_key(key):
                     schedule[hour] = multipliers
         if schedule:
             workload_kwargs["category_schedule"] = schedule
-        config.workload = WorkloadConfig(
-            seed=config.seed, window_spacing=config.window_spacing, **workload_kwargs
-        )
+        # _assemble_config sets seed and window_spacing again once the flags
+        # are read.
+        for name in ("seed", "window_spacing"):
+            if name in settings:
+                workload_kwargs[name] = settings[name]
+        settings["workload"] = WorkloadConfig(**workload_kwargs)
     except ValueError as exc:
         raise UsageError(f"bad config {path}: {exc}") from exc
-    return config
+    return settings
 
 
-def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
-    config = _load_config_file(args.config) if args.config else ExperimentConfig()
-
-    if args.input:
-        config.source = args.input
-    if args.csv:
-        config.log_format = "csv"
-    if args.out:
-        config.out_dir = args.out
-    if args.vigilance is not None:
-        config.vigilance = args.vigilance
-    if args.sweep:
-        config.sweep = _parse_float_list(args.sweep)
-    if args.max_clusters is not None:
-        config.max_clusters = args.max_clusters
-    if args.max_epochs is not None:
-        config.max_epochs = args.max_epochs
-    if args.session_idle is not None:
-        config.maximum_idle_time = args.session_idle
-    if args.freq_threshold is not None:
-        config.freq_threshold = args.freq_threshold
-    if args.window_spacing is not None:
-        config.window_spacing = args.window_spacing
-    if args.history_windows is not None:
-        config.history_windows = args.history_windows
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.force_assign:
-        config.force_assign = True
-    if args.dump_patterns:
-        config.dump_patterns = True
-
-    config.validate()
+def _assemble_config(argv) -> argparse.Namespace:
+    parser = _build_parser()
+    config = parser.parse_args(argv)
+    if config.config:
+        parser.set_defaults(**_load_config_file(config.config, parser))
+        config = parser.parse_args(argv)
+    _validate(config)
 
     if config.source == "generated":
         import dataclasses
 
         from .workload import WorkloadConfig, validate_feasibility
 
-        base_workload = config.workload or WorkloadConfig()
         try:
             config.workload = dataclasses.replace(
-                base_workload, seed=config.seed, window_spacing=config.window_spacing
+                config.workload or WorkloadConfig(),
+                seed=config.seed,
+                window_spacing=config.window_spacing,
             )
             validate_feasibility(config.workload)
         except ValueError as exc:
@@ -462,10 +439,8 @@ def main(argv=None) -> int:
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s"
     )
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _assemble_config(args)
+        config = _assemble_config(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import vodprefetch.cli as cli
 from vodprefetch.art1 import load_snapshot, render_snapshot
 from vodprefetch.cli import (
     EXIT_CAPACITY,
@@ -16,7 +17,6 @@ from vodprefetch.cli import (
     EXIT_USAGE,
     SweepPoint,
     UsageError,
-    _load_config_file,
     _parse_float_list,
     _parse_hour_key,
     main,
@@ -51,6 +51,14 @@ def write_ini(tmp_path, text=SMALL_INI, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def run_configs(monkeypatch):
+    """Stub cli.run; each main() call appends the config it would run."""
+    configs = []
+    monkeypatch.setattr(cli, "run", lambda config: configs.append(config) or EXIT_OK)
+    return configs
 
 
 # --- helpers and parsing units ---
@@ -93,9 +101,9 @@ def test_render_cluster_counts_skips_errors():
     assert render_cluster_counts(points) == "vigilance,clusters\n0.3,4\n"
 
 
-def test_example_config_loads():
-    config = _load_config_file(str(Path(__file__).parents[1] / "configs" / "example.ini"))
-    assert config.workload == WorkloadConfig(
+def test_example_config_loads(run_configs):
+    assert main(["--config", str(Path(__file__).parents[1] / "configs" / "example.ini")]) == EXIT_OK
+    assert run_configs[0].workload == WorkloadConfig(
         num_clients=50,
         num_videos=200,
         num_groups=5,
@@ -115,6 +123,102 @@ def test_unknown_workload_key_is_usage_error(tmp_path, capsys):
     ini = write_ini(tmp_path, SMALL_INI.replace("num_clients", "num_client"))
     assert main(["--config", ini, "--out", str(tmp_path / "out")]) == EXIT_USAGE
     assert "'num_client'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (SMALL_INI + "\n[clustering]\nvigilence = 0.9\n", "unknown [clustering] key 'vigilence'"),
+        (SMALL_INI.replace("seed = 3", "sed = 3"), "unknown [experiment] key 'sed'"),
+        (SMALL_INI + "\n[clusterin]\nvigilance = 0.9\n", "unknown section [clusterin]"),
+    ],
+    ids=["clustering-key", "experiment-key", "section"],
+)
+def test_unknown_config_key_or_section_is_usage_error(tmp_path, capsys, text, named):
+    ini = write_ini(tmp_path, text)
+    assert main(["--config", ini, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [(SMALL_INI, ["--sweep", ""]), (SMALL_INI + "\n[clustering]\nsweep =\n", [])],
+    ids=["flag", "config"],
+)
+def test_empty_sweep_grid_is_usage_error(tmp_path, capsys, text, flags):
+    argv = ["--config", write_ini(tmp_path, text), "--out", str(tmp_path / "out"), *flags]
+    assert main(argv) == EXIT_USAGE
+    assert "error: empty sweep grid" in capsys.readouterr().err
+
+
+# Every [experiment]/[clustering] key that takes a value: the setting it
+# sets, its flag, a non-default value for the file and another for the flag.
+VALUE_SETTINGS = [
+    ("experiment", "source", "source", "--input", "file.log", "flag.log"),
+    ("experiment", "out", "out_dir", "--out", "file_out", "flag_out"),
+    ("experiment", "seed", "seed", "--seed", 11, 12),
+    ("experiment", "maximum_idle_time", "maximum_idle_time", "--session-idle", 900, 600),
+    ("experiment", "freq_threshold", "freq_threshold", "--freq-threshold", 3, 4),
+    ("experiment", "window_spacing", "window_spacing", "--window-spacing", 3600, 7200),
+    ("experiment", "history_windows", "history_windows", "--history-windows", 2, 3),
+    ("clustering", "vigilance", "vigilance", "--vigilance", 0.6, 0.7),
+    ("clustering", "max_clusters", "max_clusters", "--max-clusters", 5, 6),
+    ("clustering", "max_epochs", "max_epochs", "--max-epochs", 4, 5),
+    ("clustering", "sweep", "sweep", "--sweep", (0.2, 0.7), (0.1, 0.9)),
+]
+# The keys whose flag is a switch: the setting, the switch, the value the
+# switch sets and the default.
+SWITCH_SETTINGS = [
+    ("experiment", "format", "log_format", "--csv", "csv", "whitespace"),
+    ("experiment", "dump_patterns", "dump_patterns", "--dump-patterns", True, False),
+    ("experiment", "force_assign", "force_assign", "--force-assign", True, False),
+]
+
+
+def as_text(value):
+    """A setting's value as a flag or an INI file spells it."""
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def render_ini(entries):
+    """INI text for (section, key, value) entries."""
+    lines = []
+    for section in ("experiment", "clustering"):
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {as_text(value)}" for sec, key, value in entries if sec == section]
+    return "\n".join(lines) + "\n"
+
+
+def test_flags_override_config_file_over_defaults(tmp_path, run_configs):
+    on_file = [(sec, key, file) for sec, key, _, _, file, _ in VALUE_SETTINGS]
+    on_file += [(sec, key, on) for sec, key, _, _, on, _ in SWITCH_SETTINGS]
+    ini = write_ini(tmp_path, render_ini(on_file))
+    assert main(["--config", ini]) == EXIT_OK
+    for _, _, setting, _, file, _ in VALUE_SETTINGS:
+        assert getattr(run_configs[-1], setting) == file, setting
+    for _, _, setting, _, on, _ in SWITCH_SETTINGS:
+        assert getattr(run_configs[-1], setting) == on, setting
+
+    flags = ["--config", ini]
+    for _, _, _, flag, _, value in VALUE_SETTINGS:
+        flags += [flag, as_text(value)]
+    assert main(flags) == EXIT_OK
+    for _, _, setting, _, _, value in VALUE_SETTINGS:
+        assert getattr(run_configs[-1], setting) == value, setting
+
+    # A switch can only turn its setting on, so it overrides a file that
+    # spells out the default.
+    off_file = [(sec, key, default) for sec, key, _, _, _, default in SWITCH_SETTINGS]
+    ini = write_ini(tmp_path, render_ini(on_file[: len(VALUE_SETTINGS)] + off_file))
+    assert main(["--config", ini]) == EXIT_OK
+    for _, _, setting, _, _, default in SWITCH_SETTINGS:
+        assert getattr(run_configs[-1], setting) == default, setting
+    assert main(["--config", ini, *[flag for _, _, _, flag, _, _ in SWITCH_SETTINGS]]) == EXIT_OK
+    for _, _, setting, _, on, _ in SWITCH_SETTINGS:
+        assert getattr(run_configs[-1], setting) == on, setting
 
 
 # --- end-to-end runs ---
@@ -163,6 +267,25 @@ def test_sweep_flag_sets_grid(tmp_path):
     lines = (out / "cluster_counts.csv").read_text().splitlines()
     assert len(lines) == 3
     assert lines[1].startswith("0.2,") and lines[2].startswith("0.9,")
+
+
+def test_vigilance_off_the_grid_is_trained_but_not_counted(tmp_path):
+    out = tmp_path / "out"
+    argv = ["--config", write_ini(tmp_path), "--out", str(out), "--vigilance", "0.33"]
+    assert main([*argv, "--sweep", "0.3 0.5"]) == EXIT_OK
+    lines = (out / "cluster_counts.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["vigilance", "0.3", "0.5"]
+    header = (out / "network.snapshot").read_text().splitlines()[0].split()
+    assert float(header[2]) == 0.33
+
+
+def test_generated_run_ignores_csv_flag(tmp_path):
+    ini = write_ini(tmp_path)
+    plain, csv = tmp_path / "plain", tmp_path / "csv"
+    assert main(["--config", ini, "--out", str(plain)]) == EXIT_OK
+    assert main(["--config", ini, "--out", str(csv), "--csv"]) == EXIT_OK
+    for name in ("metrics.csv", "cluster_counts.csv", "network.snapshot"):
+        assert (plain / name).read_bytes() == (csv / name).read_bytes(), name
 
 
 def test_dump_patterns_flag(tmp_path):
