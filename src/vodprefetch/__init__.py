@@ -11,13 +11,11 @@ from .art1 import (
     Art1Network,
     Assignment,
     CapacityError,
-    ClusterReport,
     init_network,
     load_snapshot,
     match_values,
     present_pattern,
     render_snapshot,
-    report_clusters,
     save_snapshot,
     select_winner,
     similarity,
@@ -48,7 +46,6 @@ from .patterns import (
 from .prefetch import (
     CacheMetrics,
     EvaluationResult,
-    PrefetchPlan,
     build_plan,
     evaluate_plan,
     member_weighted_accuracy,
@@ -93,13 +90,11 @@ __all__ = [
     "BaseVector",
     "CacheMetrics",
     "CapacityError",
-    "ClusterReport",
     "EvaluationResult",
     "GroundTruth",
     "LogParseError",
     "LogRecord",
     "PatternVector",
-    "PrefetchPlan",
     "Session",
     "UnknownVideoError",
     "WorkloadConfig",
@@ -126,7 +121,6 @@ __all__ = [
     "render_metrics_csv",
     "render_pattern_matrix",
     "render_snapshot",
-    "report_clusters",
     "save_snapshot",
     "segment_sessions",
     "select_winner",

@@ -99,13 +99,6 @@ class Assignment(NamedTuple):
     epochs: int
 
 
-class ClusterReport(NamedTuple):
-    cluster_index: int
-    client_ids: tuple[str, ...]
-    prototype: tuple[int, ...]
-    member_count: int
-
-
 def init_network(config: Art1Config) -> Art1Network:
     """Fresh network with no committed clusters."""
     return Art1Network(config)
@@ -317,27 +310,6 @@ def train(
             break
         previous = list(clusters)
     return Assignment(tuple(clusters), tuple(rejections), converged, epochs)
-
-
-def report_clusters(
-    net: Art1Network, assignment: Assignment, client_ids: Sequence[str]
-) -> list[ClusterReport]:
-    """One report per non-empty cluster; members deduped in first-seen order."""
-    if len(client_ids) != len(assignment.clusters):
-        raise ValueError(
-            f"{len(client_ids)} client ids for {len(assignment.clusters)} assignments"
-        )
-    members: dict[int, list[str]] = {}
-    for client, cluster in zip(client_ids, assignment.clusters):
-        bucket = members.setdefault(cluster, [])
-        if client not in bucket:
-            bucket.append(client)
-    reports = []
-    for cluster in sorted(members):
-        ids = tuple(members[cluster])
-        prototype = tuple(_dense(net.prototypes[cluster], net.config.input_dim))
-        reports.append(ClusterReport(cluster, ids, prototype, len(ids)))
-    return reports
 
 
 def render_snapshot(net: Art1Network) -> str:

@@ -87,26 +87,12 @@ def _validate(config: argparse.Namespace) -> None:
 
 
 class SweepPoint(NamedTuple):
-    """One vigilance grid point; == and hash leave out the trained `network`."""
+    """One vigilance grid point and, when training succeeded, its network."""
 
     vigilance: float
     clusters: int | None
     error: str | None = None
     network: Art1Network | None = None
-
-    def __eq__(self, other):
-        if not isinstance(other, SweepPoint):
-            return NotImplemented
-        return self[:3] == other[:3]
-
-    def __ne__(self, other):
-        # Needed as well: tuple's own __ne__ would compare the network.
-        if not isinstance(other, SweepPoint):
-            return NotImplemented
-        return self[:3] != other[:3]
-
-    def __hash__(self) -> int:
-        return hash(self[:3])
 
 
 def sweep_vigilance(
@@ -259,8 +245,16 @@ def run(config: argparse.Namespace) -> int:
             log.error("vigilance %g: %s", point.vigilance, point.error)
             capacity_failures.append(point.error)
     final = points[grid.index(config.vigilance)]
+    snapshot = os.path.join(out, "network.snapshot")
     if final.network is not None:
-        save_snapshot(final.network, os.path.join(out, "network.snapshot"))
+        save_snapshot(final.network, snapshot)
+    else:
+        # A snapshot left by an earlier run into this directory would pass
+        # for this run's network.
+        try:
+            os.remove(snapshot)
+        except FileNotFoundError:
+            pass
 
     return EXIT_CAPACITY if capacity_failures else EXIT_OK
 

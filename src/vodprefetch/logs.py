@@ -57,10 +57,6 @@ class Session(NamedTuple):
     end: int
     events: tuple[AccessEvent, ...]
 
-    @property
-    def session_id(self) -> str:
-        return f"{self.client_id}:{self.start}"
-
 
 def _fields(
     line: str, line_number: int, delimiter: str | None

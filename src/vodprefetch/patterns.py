@@ -52,7 +52,6 @@ class PatternVector(NamedTuple):
     """Binary request pattern of one session."""
 
     client_id: str
-    session_ref: str
     bits: tuple[int, ...]
 
 
@@ -70,7 +69,7 @@ def extract_pattern(
             raise UnknownVideoError(video_id)
         if count >= freq_threshold:
             bits[index] = 1
-    return PatternVector(session.client_id, session.session_id, tuple(bits))
+    return PatternVector(session.client_id, tuple(bits))
 
 
 def patterns_for_sessions(

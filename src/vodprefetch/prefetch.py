@@ -4,16 +4,9 @@ from __future__ import annotations
 
 import logging
 from collections import Counter, deque
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .art1 import (
-    Art1Config,
-    CapacityError,
-    ClusterReport,
-    init_network,
-    report_clusters,
-    train,
-)
+from .art1 import Art1Config, Art1Network, CapacityError, init_network, train
 from .fileio import atomic_write
 from .logs import Session
 from .patterns import BaseVector, PatternVector, patterns_for_sessions
@@ -21,12 +14,6 @@ from .patterns import BaseVector, PatternVector, patterns_for_sessions
 log = logging.getLogger(__name__)
 
 METRICS_HEADER = "window,cluster,members,prefetched,hits,accuracy"
-
-
-class PrefetchPlan(NamedTuple):
-    """URLs to pull into the cache for each cluster, in base-vector order."""
-
-    urls_by_cluster: Mapping[int, tuple[str, ...]]
 
 
 class _CacheMetricsFields(NamedTuple):
@@ -65,33 +52,39 @@ class EvaluationResult(NamedTuple):
     error: str | None = None
 
 
-def build_plan(reports: Sequence[ClusterReport], base: BaseVector) -> PrefetchPlan:
-    """List each prototype's set-bit URLs in index order."""
-    plan: dict[int, tuple[str, ...]] = {}
-    for report in reports:
-        if len(report.prototype) != base.size:
-            raise ValueError(
-                f"prototype length {len(report.prototype)} does not match base size {base.size}"
-            )
-        plan[report.cluster_index] = tuple(
-            base.urls[i] for i, bit in enumerate(report.prototype) if bit
+def build_plan(
+    net: Art1Network, clusters: Iterable[int], base: BaseVector
+) -> dict[int, tuple[str, ...]]:
+    """URLs to prefetch for each distinct cluster in `clusters`, ascending.
+
+    A cluster's URLs are those of the set bits of its prototype mask, in
+    base-vector order.
+    """
+    if net.config.input_dim != base.size:
+        raise ValueError(
+            f"network input_dim {net.config.input_dim} does not match base size {base.size}"
         )
-    return PrefetchPlan(plan)
+    urls = base.urls
+    plan = {}
+    for cluster in sorted(set(clusters)):
+        digits = format(net.prototypes[cluster], "b")[::-1]  # input 0 first
+        plan[cluster] = tuple(urls[i] for i, ch in enumerate(digits) if ch == "1")
+    return plan
 
 
 def evaluate_plan(
-    plan: PrefetchPlan,
+    plan: Mapping[int, tuple[str, ...]],
     next_sessions: Sequence[Session],
     membership: Mapping[str, int],
 ) -> EvaluationResult:
-    """Score a plan against the demand of the following window.
+    """Score a plan, cluster to prefetched URLs, against the next window's demand.
 
     A hit is a distinct prefetched video requested at least once by any
     member of the cluster; accuracy is hits over prefetched count (zero for
     an empty plan). Clients without a membership entry land in the
     unclustered bucket and count toward no cluster.
     """
-    requested: dict[int, set[str]] = {c: set() for c in plan.urls_by_cluster}
+    requested: dict[int, set[str]] = {c: set() for c in plan}
     unclustered: set[str] = set()
     for session in next_sessions:
         cluster = membership.get(session.client_id)
@@ -103,8 +96,8 @@ def evaluate_plan(
             bucket.add(event.video_id)
     member_counts = Counter(membership.values())
     metrics = []
-    for cluster in sorted(plan.urls_by_cluster):
-        urls = plan.urls_by_cluster[cluster]
+    for cluster in sorted(plan):
+        urls = plan[cluster]
         hits = len(set(urls) & requested.get(cluster, set()))
         accuracy = hits / len(urls) if urls else 0.0
         metrics.append(
@@ -163,8 +156,7 @@ def sliding_run(
         membership: dict[str, int] = {}
         for pattern, cluster in zip(patterns, assignment.clusters):
             membership[pattern.client_id] = cluster  # later sessions overwrite
-        reports = report_clusters(net, assignment, [p.client_id for p in patterns])
-        plan = build_plan(reports, base)
+        plan = build_plan(net, assignment.clusters, base)
         results.append((w, evaluate_plan(plan, windows[w + 1], membership)))
     return results
 

@@ -14,7 +14,6 @@ from vodprefetch.art1 import (
     match_values,
     present_pattern,
     render_snapshot,
-    report_clusters,
     save_snapshot,
     select_winner,
     similarity,
@@ -308,7 +307,6 @@ def test_train_empty_pattern_list():
     assignment = train(net, [])
     assert assignment.clusters == ()
     assert assignment.converged and assignment.epochs == 0
-    assert report_clusters(net, assignment, []) == []
 
 
 def test_train_rejects_zero_pattern_upfront():
@@ -386,27 +384,6 @@ def test_train_is_deterministic():
         nets.append(net)
     assert nets[0].top_down == nets[1].top_down
     assert nets[0].bottom_up == nets[1].bottom_up
-
-
-# --- reports ---
-
-
-def test_report_clusters_membership():
-    net = net_with(vigilance=0.9, dim=4)
-    assignment = train(net, [(1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1)])
-    reports = report_clusters(net, assignment, ["a", "b", "a"])
-    assert [(r.cluster_index, r.client_ids, r.member_count) for r in reports] == [
-        (0, ("a", "b"), 2),
-        (1, ("a",), 1),
-    ]
-    assert reports[0].prototype == (1, 1, 0, 0)
-
-
-def test_report_clusters_length_mismatch():
-    net = net_with()
-    assignment = train(net, [(1, 0, 1)])
-    with pytest.raises(ValueError):
-        report_clusters(net, assignment, ["a", "b"])
 
 
 # --- snapshots ---

@@ -92,7 +92,7 @@ def test_sweep_records_capacity_per_point():
     points = sweep_vigilance(
         patterns, (0.0, 1.0), input_dim=3, max_clusters=1, max_epochs=5
     )
-    assert points[0] == SweepPoint(0.0, 1)
+    assert points[0][:3] == (0.0, 1, None)
     assert points[1].clusters is None and points[1].error is not None
 
 
@@ -442,6 +442,20 @@ def test_capacity_exhaustion_is_exit_three(tmp_path, capsys):
     # the grid point that fit still lands in the csv
     lines = (out / "cluster_counts.csv").read_text().splitlines()
     assert lines == ["vigilance,clusters", "0,1"]
+
+
+def test_failed_final_training_leaves_no_snapshot(tmp_path):
+    # A snapshot from an earlier run into the same directory must not
+    # outlive a run whose training at --vigilance ran out of clusters.
+    ini, out = write_ini(tmp_path), tmp_path / "out"
+    assert main(["--config", ini, "--out", str(out)]) == EXIT_OK
+    assert (out / "network.snapshot").exists()
+    code = main(
+        ["--config", ini, "--out", str(out),
+         "--max-clusters", "1", "--vigilance", "0.5", "--sweep", "0.5"]
+    )
+    assert code == EXIT_CAPACITY
+    assert not (out / "network.snapshot").exists()
 
 
 def test_window_capacity_error_keeps_other_windows(tmp_path, caplog):

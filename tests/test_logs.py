@@ -306,12 +306,6 @@ def test_segmentation_partition_property():
                 assert b.start - a.end > idle
 
 
-def test_session_id_format():
-    events = [make_event("c9", 123, "v")]
-    (session,) = segment_sessions(events)
-    assert session.session_id == "c9:123"
-
-
 # --- window grouping ---
 
 

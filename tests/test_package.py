@@ -1,19 +1,20 @@
-"""Package surface: lazily resolved names and the immutable value types."""
+"""Package surface: lazily resolved names, the immutable value types and README's example."""
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
 import re
+from pathlib import Path
 
 import pytest
 
 import vodprefetch
-from vodprefetch.art1 import Art1Config, Art1Network, Assignment, ClusterReport
+from vodprefetch.art1 import Art1Config, Assignment
 from vodprefetch.cli import SweepPoint
 from vodprefetch.logs import AccessEvent, Session
 from vodprefetch.patterns import BaseVector, PatternVector
-from vodprefetch.prefetch import CacheMetrics, EvaluationResult, PrefetchPlan
+from vodprefetch.prefetch import CacheMetrics, EvaluationResult
 
 
 @pytest.mark.parametrize("name", vodprefetch.__all__)
@@ -39,12 +40,10 @@ EVENT = AccessEvent("c1", 5, "v1")
 VALUES = [
     Art1Config(4, 0.5, 3),
     Assignment((0,), ((),), True, 1),
-    ClusterReport(0, ("c1",), (1, 0), 1),
     EVENT,
     Session("c1", 5, 5, (EVENT,)),
     BaseVector.from_urls(["v1", "v2"]),
-    PatternVector("c1", "c1:5", (1, 0)),
-    PrefetchPlan({0: ("v1",)}),
+    PatternVector("c1", (1, 0)),
     CacheMetrics(0, 1, 2, 1, 0.5),
     EvaluationResult((), ()),
     SweepPoint(0.5, 1),
@@ -101,18 +100,17 @@ def test_log_record_error_texts(args, message):
         vodprefetch.LogRecord(*args)
 
 
-def test_sweep_point_equality_ignores_network():
-    net = Art1Network(Art1Config(2, 0.5, 1))
-    with_net = SweepPoint(0.5, 1, network=net)
-    assert with_net == SweepPoint(0.5, 1)
-    assert not with_net != SweepPoint(0.5, 1)
-    assert hash(with_net) == hash(SweepPoint(0.5, 1))
-    assert with_net != SweepPoint(0.5, 2)
-
-
 def test_log_record_stays_a_dataclass_for_replace():
     record = vodprefetch.LogRecord("c1", "u1", 1, "v1", 200, 10)
     changed = dataclasses.replace(record, status_code=404)
     assert changed == vodprefetch.LogRecord("c1", "u1", 1, "v1", 404, 10)
     with pytest.raises(dataclasses.FrozenInstanceError):
         changed.status_code = 200
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"^## Library use\n\n```python\n(.*?)^```", readme, re.S | re.M)
+    assert match, "README has no Library use python block"
+    exec(compile(match.group(1), "README.md", "exec"), {})
+    assert capsys.readouterr().out == "0.9897686460629135\n"

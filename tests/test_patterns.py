@@ -42,7 +42,6 @@ def test_extract_pattern_frequency_threshold():
     pattern = extract_pattern(session, base, freq_threshold=2)
     assert pattern.bits == (1, 0)
     assert pattern.client_id == "c1"
-    assert pattern.session_ref == session.session_id
 
 
 def test_extract_pattern_threshold_one_marks_any_request():

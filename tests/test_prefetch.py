@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from vodprefetch.art1 import Art1Config, ClusterReport
+from vodprefetch.art1 import Art1Config, init_network, train
 from vodprefetch.logs import group_sessions_by_window, segment_sessions
 from vodprefetch.patterns import BaseVector, build_base_vector
 from vodprefetch.prefetch import (
@@ -23,8 +23,11 @@ def base_of(*urls):
     return BaseVector.from_urls(urls)
 
 
-def report(cluster, prototype, clients=("c1",)):
-    return ClusterReport(cluster, tuple(clients), tuple(prototype), len(clients))
+def net_of(dim, *prototypes):
+    """A network whose prototype masks are set directly (bit i = input i)."""
+    net = init_network(Art1Config(dim, 0.5, len(prototypes)))
+    net.prototypes = list(prototypes)
+    return net
 
 
 # --- plan building ---
@@ -32,33 +35,51 @@ def report(cluster, prototype, clients=("c1",)):
 
 def test_build_plan_lists_set_bits_in_order():
     base = base_of("v1", "v2", "v3", "v4")
-    plan = build_plan([report(0, (0, 1, 1, 0))], base)
-    assert plan.urls_by_cluster == {0: ("v2", "v3")}
+    plan = build_plan(net_of(4, 0b1011, 0b0110), [1, 0], base)
+    assert plan == {0: ("v1", "v2", "v4"), 1: ("v2", "v3")}
+    assert list(plan) == [0, 1]
+
+
+def test_build_plan_lists_each_cluster_once():
+    base = base_of("v1", "v2")
+    plan = build_plan(net_of(2, 0b01, 0b10), (1, 1, 0, 1, 0), base)
+    assert plan == {0: ("v1",), 1: ("v2",)}
+
+
+def test_build_plan_skips_clusters_without_members():
+    # At vigilance 0.5 the first epoch creates cluster 0 for pattern 0,
+    # which later moves to cluster 2, leaving cluster 0 with no members.
+    base = base_of("v1", "v2", "v3", "v4")
+    net = init_network(Art1Config(4, 0.5, 8))
+    patterns = [(1, 1, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1)]
+    assignment = train(net, patterns)
+    assert assignment.clusters == (2, 1, 1, 1)
+    assert net.active_clusters == 3
+    plan = build_plan(net, assignment.clusters, base)
+    assert plan == {1: ("v3", "v4"), 2: ("v1", "v2", "v4")}
 
 
 def test_build_plan_empty_prototype():
     base = base_of("v1", "v2")
-    plan = build_plan([report(0, (0, 0))], base)
-    assert plan.urls_by_cluster == {0: ()}
+    assert build_plan(net_of(2, 0), [0], base) == {0: ()}
 
 
 def test_build_plan_full_prototype_length():
     urls = tuple(f"v{i:02d}" for i in range(36))
-    plan = build_plan([report(2, (1,) * 36)], BaseVector.from_urls(urls))
-    assert len(plan.urls_by_cluster[2]) == 36
+    plan = build_plan(net_of(36, 0, 0, (1 << 36) - 1), [2], BaseVector.from_urls(urls))
+    assert plan == {2: urls}
 
 
 def test_build_plan_width_mismatch():
-    with pytest.raises(ValueError):
-        build_plan([report(0, (1, 0, 1))], base_of("v1", "v2"))
+    with pytest.raises(ValueError, match="input_dim 3 does not match base size 2"):
+        build_plan(net_of(3, 0b101), [0], base_of("v1", "v2"))
 
 
 # --- evaluation ---
 
 
 def test_evaluate_counts_distinct_hits():
-    base = base_of("v1", "v2", "v3")
-    plan = build_plan([report(0, (1, 1, 0))], base)
+    plan = {0: ("v1", "v2")}
     sessions = [make_session("c1", [(0, "v1"), (1, "v1"), (2, "v3")])]
     result = evaluate_plan(plan, sessions, {"c1": 0})
     (metric,) = result.metrics
@@ -68,9 +89,7 @@ def test_evaluate_counts_distinct_hits():
 def test_evaluate_accuracy_fraction():
     # 36 prefetched, 34 requested: accuracy mirrors a hits/prefetched ratio
     urls = tuple(f"v{i:02d}" for i in range(40))
-    base = BaseVector.from_urls(urls)
-    prototype = tuple(1 if i < 36 else 0 for i in range(40))
-    plan = build_plan([report(0, prototype)], base)
+    plan = {0: urls[:36]}
     requests = [(t, f"v{t:02d}") for t in range(34)]
     result = evaluate_plan(plan, [make_session("c1", requests)], {"c1": 0})
     (metric,) = result.metrics
@@ -79,8 +98,7 @@ def test_evaluate_accuracy_fraction():
 
 
 def test_evaluate_empty_plan_has_zero_accuracy():
-    base = base_of("v1")
-    plan = build_plan([report(0, (0,))], base)
+    plan = {0: ()}
     result = evaluate_plan(plan, [make_session("c1", [(0, "v1")])], {"c1": 0})
     (metric,) = result.metrics
     assert metric.prefetched_count == 0
@@ -89,8 +107,7 @@ def test_evaluate_empty_plan_has_zero_accuracy():
 
 
 def test_evaluate_unclustered_bucket():
-    base = base_of("v1", "v2")
-    plan = build_plan([report(0, (1, 0))], base)
+    plan = {0: ("v1",)}
     sessions = [
         make_session("c1", [(0, "v1")]),
         make_session("cX", [(1, "v2")]),
@@ -103,8 +120,7 @@ def test_evaluate_unclustered_bucket():
 
 
 def test_evaluate_nonmember_requests_do_not_hit():
-    base = base_of("v1", "v2")
-    plan = build_plan([report(0, (1, 0)), report(1, (0, 1))], base)
+    plan = {0: ("v1",), 1: ("v2",)}
     sessions = [make_session("c2", [(0, "v1")])]  # c2 belongs to cluster 1
     result = evaluate_plan(plan, sessions, {"c1": 0, "c2": 1})
     assert [m.hits for m in result.metrics] == [0, 0]
@@ -112,8 +128,7 @@ def test_evaluate_nonmember_requests_do_not_hit():
 
 def test_evaluate_event_order_invariance():
     rng = random.Random(31)
-    base = base_of(*(f"v{i}" for i in range(8)))
-    plan = build_plan([report(0, (1, 1, 1, 0, 0, 0, 1, 0))], base)
+    plan = {0: ("v0", "v1", "v2", "v6")}
     sessions = [
         make_session(f"c{c}", [(t, f"v{rng.randrange(8)}") for t in range(10)])
         for c in range(4)
