@@ -13,12 +13,9 @@ from .art1 import (
     CapacityError,
     init_network,
     load_snapshot,
-    match_values,
     present_pattern,
     render_snapshot,
     save_snapshot,
-    select_winner,
-    similarity,
     train,
 )
 from .logs import (
@@ -27,7 +24,6 @@ from .logs import (
     Session,
     group_sessions_by_window,
     parse_log_file,
-    parse_log_line,
     parse_log_lines,
     preprocess,
     read_events,
@@ -65,7 +61,6 @@ _WORKLOAD_NAMES = frozenset(
         "ZipfSampler",
         "generate",
         "plant_ground_truth",
-        "popularity_histogram",
         "write_ground_truth",
         "write_trace_log",
     }
@@ -107,14 +102,11 @@ __all__ = [
     "group_sessions_by_window",
     "init_network",
     "load_snapshot",
-    "match_values",
     "member_weighted_accuracy",
     "parse_log_file",
-    "parse_log_line",
     "parse_log_lines",
     "patterns_for_sessions",
     "plant_ground_truth",
-    "popularity_histogram",
     "preprocess",
     "present_pattern",
     "read_events",
@@ -123,8 +115,6 @@ __all__ = [
     "render_snapshot",
     "save_snapshot",
     "segment_sessions",
-    "select_winner",
-    "similarity",
     "sliding_run",
     "train",
     "write_ground_truth",

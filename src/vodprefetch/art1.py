@@ -18,7 +18,7 @@ accumulated in ascending index order.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .fileio import atomic_write
 
@@ -156,48 +156,6 @@ def _match_table(size: int) -> tuple[float, ...]:
     return tuple(table)
 
 
-def _match_values(net: Art1Network, x: int) -> list[float]:
-    return [_match_table(t.bit_count())[(x & t).bit_count()] for t in net.prototypes]
-
-
-def match_values(net: Art1Network, pattern: Sequence[int]) -> list[float]:
-    """Matching value of the pattern against every active cluster.
-
-    The value for cluster j is the dot product of the pattern with the
-    cluster's bottom-up weights, summed in ascending index order.
-    """
-    return _match_values(net, _to_mask(pattern, net.config.input_dim))
-
-
-def select_winner(values: Sequence[float], excluded: Iterable[int] = ()) -> int | None:
-    """Index of the largest value outside `excluded`; ties go to the lowest index.
-
-    Calling it again with each answer excluded yields the order in which a
-    presentation tries clusters.
-    """
-    banned = set(excluded)
-    winner = None
-    best = 0.0
-    for j, value in enumerate(values):
-        if j in banned:
-            continue
-        if winner is None or value > best:
-            winner, best = j, value
-    return winner
-
-
-def similarity(pattern: Sequence[int], prototype: Sequence[int]) -> float:
-    """Fraction of the pattern's set bits that are also set in the prototype."""
-    if len(pattern) != len(prototype):
-        raise ValueError(
-            f"pattern length {len(pattern)} does not match prototype length {len(prototype)}"
-        )
-    x = _to_mask(pattern, len(pattern))
-    if not x:
-        raise ValueError("similarity is undefined for an all-zero pattern")
-    return (x & _to_mask(prototype, len(prototype), "prototype")).bit_count() / x.bit_count()
-
-
 def _tables(protos: list[int]) -> list[tuple[float, ...]]:
     return [_match_table(t.bit_count()) for t in protos]
 
@@ -221,16 +179,16 @@ def _present(
     rejected: tuple[int, ...] = ()
     if overlaps:
         values = [table[k] for table, k in zip(tables, overlaps)]
-        # The lowest-index maximum is the first cluster select_winner picks;
-        # most presentations stop there, so the full order is only sorted
-        # after it fails vigilance.
+        # Clusters are tried by descending match value, ties to the lowest
+        # index. Most presentations stop at the first, the lowest-index
+        # maximum, so the full order is only sorted after it fails vigilance.
         j = values.index(max(values))
         if overlaps[j] / size >= vigilance:
             _learn(protos, tables, j, x)
             return j, rejected
         # A stable sort keeps equal values in ascending index order even
-        # when reversed, so this is the order repeated select_winner calls
-        # visit, and its head is j.
+        # when reversed, so this is descending value, ties to the lowest
+        # index, and its head is j.
         order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
         for n in range(1, len(order)):
             j = order[n]

@@ -184,8 +184,11 @@ def run(config: argparse.Namespace) -> int:
     if not all_patterns:
         raise DataError("no pattern cleared the frequency threshold; nothing to cluster")
 
+    patterns_csv = os.path.join(out, "patterns.csv")
     if config.dump_patterns:
-        write_pattern_matrix(all_patterns, base, os.path.join(out, "patterns.csv"))
+        write_pattern_matrix(all_patterns, base, patterns_csv)
+    else:
+        _remove_stale(patterns_csv)
 
     # The sentinel gives every pattern its own potential cluster, so the cap
     # only ever binds when the user asks for one explicitly.
@@ -249,14 +252,19 @@ def run(config: argparse.Namespace) -> int:
     if final.network is not None:
         save_snapshot(final.network, snapshot)
     else:
-        # A snapshot left by an earlier run into this directory would pass
-        # for this run's network.
-        try:
-            os.remove(snapshot)
-        except FileNotFoundError:
-            pass
+        _remove_stale(snapshot)
 
     return EXIT_CAPACITY if capacity_failures else EXIT_OK
+
+
+def _remove_stale(path: str) -> None:
+    # An output that an earlier run left in --out and this run does not
+    # write would pass for this run's. trace.log and ground_truth.csv are
+    # never removed: a replay may read its input from --out.
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -393,11 +401,8 @@ def _load_config_file(path: str, parser: _Parser) -> dict:
                     schedule[hour] = multipliers
         if schedule:
             workload_kwargs["category_schedule"] = schedule
-        # _assemble_config sets seed and window_spacing again once the flags
+        # seed and window_spacing are set by _assemble_config once the flags
         # are read.
-        for name in ("seed", "window_spacing"):
-            if name in settings:
-                workload_kwargs[name] = settings[name]
         settings["workload"] = WorkloadConfig(**workload_kwargs)
     except ValueError as exc:
         raise UsageError(f"bad config {path}: {exc}") from exc

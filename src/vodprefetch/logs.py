@@ -12,16 +12,6 @@ DEFAULT_MAX_IDLE_SECONDS = 1800
 DEFAULT_STATUS_FILTER = frozenset({200})
 
 
-def __getattr__(name: str):
-    # LogRecord is defined by the generator, its only producer, so that a
-    # replay run never imports the generator or dataclasses for it.
-    if name == "LogRecord":
-        from .workload import LogRecord
-
-        return LogRecord
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class LogParseError(ValueError):
     """Malformed log line; remembers the 1-based line number."""
 
@@ -94,20 +84,6 @@ def _read_lines(
         if not stripped or stripped.startswith("#"):
             continue
         yield _fields(stripped, number, delimiter)
-
-
-def parse_log_line(
-    line: str, line_number: int = 0, *, delimiter: str | None = None
-) -> LogRecord:
-    """Parse one log line into a LogRecord.
-
-    Fields in order: client_id, user_id, timestamp, video_id, status code,
-    bytes sent. Extra trailing fields are ignored. The default splits on
-    whitespace; pass delimiter="," for the comma-separated variant.
-    """
-    from .workload import LogRecord
-
-    return LogRecord(*_fields(line, line_number, delimiter))
 
 
 def parse_log_lines(lines: Iterable[str], *, delimiter: str | None = None) -> list[LogRecord]:

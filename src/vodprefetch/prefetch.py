@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .art1 import Art1Config, Art1Network, CapacityError, init_network, train
 from .fileio import atomic_write
 from .logs import Session
-from .patterns import BaseVector, PatternVector, patterns_for_sessions
+from .patterns import DEFAULT_FREQ_THRESHOLD, BaseVector, PatternVector, patterns_for_sessions
 
 log = logging.getLogger(__name__)
 
@@ -111,7 +111,7 @@ def sliding_run(
     base: BaseVector,
     art_config: Art1Config,
     *,
-    freq_threshold: int = 2,
+    freq_threshold: int = DEFAULT_FREQ_THRESHOLD,
     history_windows: int = 0,
     force_assign: bool = False,
 ) -> list[tuple[int, EvaluationResult]]:
@@ -121,12 +121,17 @@ def sliding_run(
     history (all windows up to w by default; only the most recent
     `history_windows` of them when positive) and the resulting plan is
     evaluated on window w+1, so no training input ever postdates the
-    evaluation window. A client's membership is the cluster of its latest
-    pattern. Windows with no usable patterns yield an empty result; a window
-    whose training runs out of clusters records the error on its result and
-    the remaining windows still run. A training that reaches max_epochs
-    without converging logs a warning. Each window's patterns are extracted
-    once and reused by every history that includes it.
+    evaluation window. Every cluster that a history pattern ends training
+    in is planned and gets a metric row. A client's membership is the
+    cluster of its latest pattern, and a row's member_count counts only
+    those clients, so a cluster whose patterns all belong to clients with a
+    later pattern elsewhere has a row with member_count 0 and no hits,
+    which carries no weight in member_weighted_accuracy. Windows with no
+    usable patterns yield an empty result; a window whose training runs
+    out of clusters records the error on its result and the remaining
+    windows still run. A training that reaches max_epochs without
+    converging logs a warning. Each window's patterns are extracted once
+    and reused by every history that includes it.
     """
     if len(windows) < 2:
         raise ValueError("sliding evaluation needs at least two session windows")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -32,10 +31,10 @@ GROUND_TRUTH_HEADER = "client_id,group_id"
 class LogRecord:
     """One raw request: who asked for which video, when, and how it went.
 
-    Defined here, by its producer, and re-exported lazily by `logs`, whose
-    parse_log_line/parse_log_lines build it on demand; a replay run reads
-    events without it. It stays a dataclass because callers, such as the
-    benchmark's trace writer, derive records with dataclasses.replace.
+    Defined here, by its producer; `logs.parse_log_lines` builds it on
+    demand, and a replay run reads events without it. It stays a dataclass
+    because callers, such as the benchmark's trace writer, derive records
+    with dataclasses.replace.
     """
 
     client_id: str
@@ -228,11 +227,6 @@ def generate(config: WorkloadConfig) -> tuple[list[LogRecord], GroundTruth]:
                 stamp += rng.randint(1, MAX_STEP_SECONDS)
     records.sort(key=lambda record: record.timestamp)
     return records, truth
-
-
-def popularity_histogram(records: Iterable[LogRecord]) -> Counter[str]:
-    """Request count per video id."""
-    return Counter(record.video_id for record in records)
 
 
 def format_log_record(record: LogRecord) -> str:

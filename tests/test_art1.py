@@ -8,15 +8,13 @@ import pytest
 from vodprefetch.art1 import (
     Art1Config,
     CapacityError,
+    _match_table,
     _to_mask,
     init_network,
     load_snapshot,
-    match_values,
     present_pattern,
     render_snapshot,
     save_snapshot,
-    select_winner,
-    similarity,
     train,
 )
 
@@ -122,33 +120,30 @@ def test_to_mask_errors_match_element_loop(pattern, dim):
 def test_match_values_dot_product():
     net = net_with(vigilance=0.5)
     present_pattern(net, (1, 1, 1))  # weights 1/3.5 on every input
-    assert match_values(net, (1, 0, 1)) == [1 / 3.5 + 1 / 3.5]
+    # (1, 0, 1) shares 2 bits with the prototype.
+    assert _match_table(net.prototypes[0].bit_count())[2] == 1 / 3.5 + 1 / 3.5
 
 
 def test_match_values_zero_pattern_is_zero():
-    net = net_with(vigilance=0.5)
-    present_pattern(net, (1, 0, 1))
-    assert match_values(net, (0, 0, 0)) == [0.0]
-
-
-def test_match_values_empty_network():
-    assert match_values(net_with(), (1, 0, 1)) == []
+    for size in range(5):
+        assert _match_table(size)[0] == 0.0
 
 
 def test_match_values_dimension_mismatch():
     with pytest.raises(ValueError):
-        match_values(net_with(dim=3), (1, 0))
+        present_pattern(net_with(dim=3), (1, 0))
 
 
 def test_match_values_rejects_non_binary():
     with pytest.raises(ValueError):
-        match_values(net_with(dim=3), (1, 2, 0))
+        present_pattern(net_with(dim=3), (1, 2, 0))
 
 
 def test_match_values_against_dense_sum():
-    # Networks trained at the benchmark's width: every match value must equal
-    # the ascending-index dot product with the derived weight rows, including
-    # cases where k * scale rounds differently from that sum.
+    # Networks trained at the benchmark's width: entry k of a prototype's
+    # match table must equal the ascending-index dot product with its derived
+    # weight row of every pattern sharing k bits with it, including cases
+    # where k * scale rounds differently from that sum.
     rng = random.Random(8)
     dim = 400
     k_times_scale_differs = 0
@@ -164,57 +159,27 @@ def test_match_values_against_dense_sum():
         rows = net.bottom_up
         assert rows and len(rows) == net.active_clusters
         for x in patterns[:20]:
-            expected = []
-            for row in rows:
+            for row, proto in zip(rows, net.top_down):
                 total = 0.0
                 for i in range(dim):
                     total += x[i] * row[i]
-                expected.append(total)
-                scale = max(row)
                 common = sum(1 for i in range(dim) if x[i] and row[i])
-                k_times_scale_differs += common * scale != total
-            assert match_values(net, x) == expected
+                assert _match_table(sum(proto))[common] == total
+                k_times_scale_differs += common * max(row) != total
     assert k_times_scale_differs > 0
-
-
-# --- winner selection ---
-
-
-def test_select_winner_max():
-    assert select_winner([0.2, 0.8, 0.5]) == 1
-
-
-def test_select_winner_tie_goes_low():
-    assert select_winner([0.2, 0.8, 0.8]) == 1
-    assert select_winner([0.8, 0.2, 0.8]) == 0
-
-
-def test_select_winner_respects_exclusions():
-    assert select_winner([0.2, 0.8, 0.5], {1}) == 2
-    assert select_winner([0.2, 0.8, 0.5], {0, 1, 2}) is None
-
-
-def test_select_winner_empty():
-    assert select_winner([]) is None
 
 
 # --- similarity ---
 
 
 def test_similarity_exact_fractions():
-    assert similarity((1, 1, 0), (1, 1, 1)) == 1.0
-    assert similarity((1, 1), (0, 0)) == 0.0
-    assert similarity((1, 0, 1, 1), (1, 1, 0, 1)) == 2 / 3
-
-
-def test_similarity_zero_pattern_rejected():
-    with pytest.raises(ValueError):
-        similarity((0, 0, 0), (1, 1, 1))
-
-
-def test_similarity_length_mismatch():
-    with pytest.raises(ValueError):
-        similarity((1, 0), (1, 0, 1))
+    # Vigilance compares |x & t| / |x|, an exact fraction: (1, 0, 1, 1)
+    # shares 1 of its 3 bits with the only prototype.
+    net = net_with(vigilance=1.0, dim=4, cap=1)
+    present_pattern(net, (1, 1, 0, 0))
+    with pytest.raises(CapacityError) as err:
+        present_pattern(net, (1, 0, 1, 1))
+    assert err.value.best_similarity == 1 / 3
 
 
 # --- single presentations ---
@@ -256,10 +221,18 @@ def test_present_retries_next_best_cluster():
     assert present_pattern(net, (1, 0, 0, 0)) == 0  # b scale 1/1.5
     assert present_pattern(net, (1, 1, 1, 0)) == 1  # b scale 1/3.5
     x = (1, 1, 0, 0)
-    values = match_values(net, x)
-    assert values[0] > values[1]  # 2/3 beats 2/3.5
+    assert _match_table(1)[1] > _match_table(3)[2]  # 2/3 beats 2/3.5
     assert present_pattern(net, x) == 1
     assert net.top_down == [[1, 0, 0, 0], [1, 1, 0, 0]]
+
+
+def test_present_ties_go_to_lowest_index():
+    net = net_with(vigilance=0.5, dim=4, cap=4)
+    assert present_pattern(net, (1, 1, 0, 0)) == 0
+    assert present_pattern(net, (0, 0, 1, 1)) == 1
+    # Both match at 1/2.5 and both pass vigilance at 1/2.
+    assert present_pattern(net, (1, 0, 1, 0)) == 0
+    assert net.top_down == [[1, 0, 0, 0], [0, 0, 1, 1]]
 
 
 def test_present_zero_pattern_rejected():

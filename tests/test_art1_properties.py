@@ -14,8 +14,6 @@ from vodprefetch.art1 import (
     load_snapshot,
     present_pattern,
     save_snapshot,
-    select_winner,
-    similarity,
     train,
 )
 
@@ -120,7 +118,7 @@ def test_training_agrees_with_reference(case, vigilance, epochs):
 def _straight_line_train(
     patterns, vigilance, max_clusters, max_epochs, force_assign, prototypes=()
 ):
-    """Cluster search spelled out with repeated select_winner calls.
+    """Cluster search spelled out as repeated first-maximum scans.
 
     Starts from the dense `prototypes` rows given (none by default). Returns
     (clusters, rejections, prototypes, capacity) for the last epoch run;
@@ -144,10 +142,15 @@ def _straight_line_train(
             rejected: list[int] = []
             tested: list[tuple[float, int]] = []
             while True:
-                winner = select_winner(values, rejected)
+                # The largest value not yet rejected; ties to the lowest index.
+                winner = None
+                for j, candidate in enumerate(values):
+                    if j not in rejected and (winner is None or candidate > values[winner]):
+                        winner = j
                 if winner is None:
                     break
-                value = similarity(x, prototypes[winner])
+                t = prototypes[winner]
+                value = sum(a & b for a, b in zip(x, t)) / sum(x)
                 if value >= vigilance:
                     break
                 rejected.append(winner)
@@ -179,7 +182,7 @@ def _straight_line_train(
     st.booleans(),
 )
 @settings(max_examples=500, deadline=None)
-def test_search_order_matches_repeated_select_winner(case_cap, vigilance, epochs, force):
+def test_search_order_matches_straight_line_scan(case_cap, vigilance, epochs, force):
     (dim, patterns), cap = case_cap
     net = init_network(Art1Config(dim, vigilance, cap, epochs))
     clusters, rejections, prototypes, capacity = _straight_line_train(

@@ -297,6 +297,14 @@ def test_dump_patterns_flag(tmp_path):
     assert set(lines[1].split(",")) <= {"0", "1"}
 
 
+def test_run_without_dump_patterns_removes_stale_patterns(tmp_path):
+    ini, out = write_ini(tmp_path), tmp_path / "out"
+    assert main(["--config", ini, "--out", str(out), "--dump-patterns"]) == EXIT_OK
+    assert (out / "patterns.csv").exists()
+    assert main(["--config", ini, "--out", str(out)]) == EXIT_OK
+    assert not (out / "patterns.csv").exists()
+
+
 def test_single_window_skips_metrics(tmp_path):
     ini = write_ini(
         tmp_path,
@@ -386,6 +394,20 @@ def test_missing_config_is_usage_error(tmp_path):
 def test_infeasible_spacing_is_usage_error(tmp_path):
     ini = write_ini(tmp_path)
     assert main(["--config", ini, "--out", str(tmp_path), "--window-spacing", "100"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        (SMALL_INI.replace("seed = 3", "seed = 3\nwindow_spacing = 0"), []),
+        (SMALL_INI, ["--window-spacing", "0"]),
+    ],
+    ids=["config", "flag"],
+)
+def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags):
+    argv = ["--config", write_ini(tmp_path, text), "--out", str(tmp_path / "out"), *flags]
+    assert main(argv) == EXIT_USAGE
+    assert "error: window_spacing must be positive\n" in capsys.readouterr().err
 
 
 def test_missing_input_is_data_error(tmp_path, capsys):

@@ -9,34 +9,33 @@ from hypothesis import strategies as st
 from vodprefetch.logs import (
     AccessEvent,
     LogParseError,
-    LogRecord,
     group_sessions_by_window,
     parse_log_file,
-    parse_log_line,
     parse_log_lines,
     preprocess,
     read_events,
     segment_sessions,
 )
+from vodprefetch.workload import LogRecord
 
 from conftest import make_event
 
 
 def test_parse_basic_line():
-    rec = parse_log_line("c1 u1 1000 v42 200 512")
-    assert rec == LogRecord("c1", "u1", 1000, "v42", 200, 512)
+    records = parse_log_lines(["c1 u1 1000 v42 200 512"])
+    assert records == [LogRecord("c1", "u1", 1000, "v42", 200, 512)]
 
 
 def test_parse_ignores_trailing_fields():
-    rec = parse_log_line("c1 u1 1000 v42 200 512 extra junk")
+    (rec,) = parse_log_lines(["c1 u1 1000 v42 200 512 extra junk"])
     assert rec.bytes_sent == 512
 
 
 def test_parse_too_few_fields():
     with pytest.raises(LogParseError) as err:
-        parse_log_line("c1 u1 1000", 17)
+        read_events(["#"] * 16 + ["c1 u1 1000"])
     assert err.value.line_number == 17
-    assert "line 17" in str(err.value)
+    assert str(err.value) == "line 17: expected at least 6 fields, got 3"
 
 
 @pytest.mark.parametrize(
@@ -48,18 +47,26 @@ def test_parse_too_few_fields():
     ],
 )
 def test_parse_non_numeric_fields(line):
-    with pytest.raises(LogParseError):
-        parse_log_line(line, 3)
+    with pytest.raises(LogParseError) as err:
+        read_events(["# comment", "", line])
+    assert err.value.line_number == 3
+    assert str(err.value) == (
+        f"line 3: non-numeric timestamp, status or bytes in {line.split()!r}"
+    )
 
 
 def test_parse_negative_timestamp_rejected():
-    with pytest.raises(LogParseError):
-        parse_log_line("c1 u1 -5 v42 200 512", 1)
+    with pytest.raises(LogParseError) as err:
+        read_events(["c1 u1 -5 v42 200 512"])
+    assert str(err.value) == "line 1: negative timestamp -5"
 
 
 def test_parse_csv_variant():
-    rec = parse_log_line("c1, u1, 1000, v42, 200, 512", delimiter=",")
-    assert rec == LogRecord("c1", "u1", 1000, "v42", 200, 512)
+    line = "c1, u1, 1000, v42, 200, 512"
+    assert read_events([line], delimiter=",") == [AccessEvent("c1", 1000, "v42")]
+    assert parse_log_lines([line], delimiter=",") == [
+        LogRecord("c1", "u1", 1000, "v42", 200, 512)
+    ]
 
 
 def test_parse_lines_skips_blanks_and_comments():

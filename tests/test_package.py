@@ -1,10 +1,15 @@
-"""Package surface: lazily resolved names, the immutable value types and README's example."""
+"""Package surface: lazily resolved names, the immutable value types, README's
+example and the names the benchmark's tracer looks up."""
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +20,7 @@ from vodprefetch.cli import SweepPoint
 from vodprefetch.logs import AccessEvent, Session
 from vodprefetch.patterns import BaseVector, PatternVector
 from vodprefetch.prefetch import CacheMetrics, EvaluationResult
+from vodprefetch.workload import WorkloadConfig, generate, write_trace_log
 
 
 @pytest.mark.parametrize("name", vodprefetch.__all__)
@@ -22,11 +28,11 @@ def test_every_exported_name_resolves(name):
     assert getattr(vodprefetch, name) is not None
 
 
-def test_logs_still_exports_log_record():
-    from vodprefetch.logs import LogRecord
-    from vodprefetch.workload import LogRecord as produced
+def test_log_record_is_the_generators():
+    from vodprefetch import logs, workload
 
-    assert LogRecord is produced is vodprefetch.LogRecord
+    assert vodprefetch.LogRecord is workload.LogRecord
+    assert not hasattr(logs, "LogRecord")
 
 
 @pytest.mark.parametrize("module", ["vodprefetch", "vodprefetch.logs"])
@@ -114,3 +120,29 @@ def test_readme_library_example_runs(capsys):
     assert match, "README has no Library use python block"
     exec(compile(match.group(1), "README.md", "exec"), {})
     assert capsys.readouterr().out == "0.9897686460629135\n"
+
+
+def test_benchmark_tracer_finds_the_pipeline(tmp_path):
+    # perfbench/traced.py wraps pipeline functions by their names in `cli`
+    # and `prefetch`; a renamed or removed one makes it fail or lose spans.
+    root = Path(__file__).parents[1]
+    config = WorkloadConfig(
+        num_clients=8, num_videos=16, num_groups=2, requests_min=20, requests_max=30
+    )
+    records, _ = generate(config)
+    trace = tmp_path / "trace.log"
+    write_trace_log(records, trace)
+    result = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced.py"), "spans", str(result),
+         "--input", str(trace), "--out", str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    names = {row[0] for row in json.loads(result.read_text())["spans"]}
+    expected = {"cli.run", "cli.sweep", "prefetch.sliding", "art1.train", "prefetch.evaluate"}
+    assert expected <= names

@@ -297,3 +297,21 @@ def test_render_metrics_csv_format():
     assert lines[0] == "window,cluster,members,prefetched,hits,accuracy"
     assert lines[1] == "0,0,1,1,1,1.0000"
     assert lines[2] == "0,1,1,1,1,1.0000"
+
+
+def test_cluster_left_by_its_clients_keeps_a_zero_member_row():
+    # c1's window-0 pattern {v0, v1} still ends window 1's training in
+    # cluster 0, but c1's latest pattern {v2, v3} is in cluster 1, so
+    # cluster 0 is planned with no members.
+    windows, base = _windows_of(
+        [[("c1", "v0"), ("c1", "v1")], [("c1", "v2"), ("c1", "v3")], [("c1", "v2")]]
+    )
+    results = sliding_run(windows, base, Art1Config(base.size, 0.9, 10, 10))
+    assert [w for w, _ in results] == [0, 1]
+    assert results[1][1].metrics == (
+        CacheMetrics(0, 0, 2, 0, 0.0),
+        CacheMetrics(1, 1, 2, 1, 0.5),
+    )
+    # Two member-weighted rows (0.0 in window 0, 0.5 in window 1); the
+    # zero-member row adds no weight.
+    assert member_weighted_accuracy(results) == 0.25

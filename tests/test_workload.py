@@ -14,7 +14,6 @@ from vodprefetch.workload import (
     ZipfSampler,
     generate,
     plant_ground_truth,
-    popularity_histogram,
     render_ground_truth,
     render_trace_log,
     validate_feasibility,
@@ -158,7 +157,7 @@ def test_zipf_rank_frequency_slope_near_minus_one():
     )
     records, truth = generate(config)
     assert len(records) == 100_000
-    hist = popularity_histogram(records)
+    hist = Counter(r.video_id for r in records)
     pipeline_counts = [hist.get(video, 0) for video in truth.catalogs[0]]
     pipeline_slope = _fit_slope(pipeline_counts)
 
@@ -294,24 +293,12 @@ def test_schedule_zero_row_falls_back_to_uniform():
     assert targets == {1, 2}
 
 
-# --- histogram ---
-
-
-def test_histogram_empty():
-    assert popularity_histogram([]) == Counter()
-
-
-def test_histogram_counts_repeats():
-    records, _ = generate(small_config(num_videos=3, num_groups=1, seed=1))
-    hist = popularity_histogram(records)
-    assert sum(hist.values()) == len(records)
-    one = [r for r in records if r.video_id == "v0"]
-    assert hist["v0"] == len(one)
+# --- popularity ---
 
 
 def test_default_config_counts_fall_in_bracket():
     records, _ = generate(WorkloadConfig())
-    hist = popularity_histogram(records)
+    hist = Counter(r.video_id for r in records)
     assert min(hist.values()) >= 20
     assert max(hist.values()) <= 1600
 
