@@ -35,12 +35,7 @@ from .patterns import (
     patterns_for_sessions,
     write_pattern_matrix,
 )
-from .prefetch import (
-    METRICS_HEADER,
-    member_weighted_accuracy,
-    sliding_run,
-    write_metrics_csv,
-)
+from .prefetch import member_weighted_accuracy, sliding_run, write_metrics_csv
 
 log = logging.getLogger(__name__)
 
@@ -68,8 +63,6 @@ def _validate(config: argparse.Namespace) -> None:
     for value in config.sweep:
         if not 0.0 <= value <= 1.0:
             raise UsageError(f"sweep value {value} outside [0, 1]")
-    if not config.sweep:
-        raise UsageError("sweep grid must not be empty")
     if config.maximum_idle_time <= 0:
         raise UsageError("session idle bound must be positive")
     if config.freq_threshold < 1:
@@ -87,12 +80,18 @@ def _validate(config: argparse.Namespace) -> None:
 
 
 class SweepPoint(NamedTuple):
-    """One vigilance grid point and, when training succeeded, its network."""
+    """One vigilance grid point: its network when training succeeded, else the error.
+
+    `clusters` is the network's active cluster count, None without a network.
+    """
 
     vigilance: float
-    clusters: int | None
     error: str | None = None
     network: Art1Network | None = None
+
+    @property
+    def clusters(self) -> int | None:
+        return None if self.network is None else self.network.active_clusters
 
 
 def sweep_vigilance(
@@ -120,13 +119,13 @@ def sweep_vigilance(
         try:
             assignment = train(net, patterns, force_assign=force_assign)
         except CapacityError as exc:
-            points.append(SweepPoint(value, None, str(exc)))
+            points.append(SweepPoint(value, str(exc)))
             continue
         if not assignment.converged:
             log.warning(
                 "vigilance %g: training did not converge in %d epochs", value, assignment.epochs
             )
-        points.append(SweepPoint(value, net.active_clusters, network=net))
+        points.append(SweepPoint(value, network=net))
     return points
 
 
@@ -141,17 +140,15 @@ def render_cluster_counts(points: list[SweepPoint]) -> str:
 def run(config: argparse.Namespace) -> int:
     """Run one experiment end to end; returns the process exit code.
 
-    `config` holds each setting under its name in _build_parser, and
-    `workload`, the generator's WorkloadConfig.
+    `config` comes from _assemble_config, which has validated it: each
+    setting under its name in _build_parser, and `workload`, the
+    generator's WorkloadConfig, which generated mode always has.
     """
-    _validate(config)
     out = config.out_dir or os.curdir
     os.makedirs(out, exist_ok=True)
 
     # Generated mode writes its trace and then reads it back like a replay.
     if config.source == "generated":
-        if config.workload is None:
-            raise UsageError("generated mode needs a workload config")
         from .workload import generate, write_ground_truth, write_trace_log
 
         records, truth = generate(config.workload)
@@ -196,7 +193,7 @@ def run(config: argparse.Namespace) -> int:
     art_config = Art1Config(base.size, config.vigilance, max_clusters, config.max_epochs)
 
     capacity_failures: list[str] = []
-
+    results = []
     if len(windows) >= 2:
         results = sliding_run(
             windows,
@@ -215,15 +212,14 @@ def run(config: argparse.Namespace) -> int:
                     result.error,
                 )
                 capacity_failures.append(result.error)
-        write_metrics_csv(results, os.path.join(out, "metrics.csv"))
         log.info(
             "member-weighted prefetch accuracy %.4f over %d windows",
             member_weighted_accuracy(results),
             len(windows),
         )
     else:
-        atomic_write(os.path.join(out, "metrics.csv"), METRICS_HEADER + "\n")
         log.warning("only one session window; prefetch metrics skipped")
+    write_metrics_csv(results, os.path.join(out, "metrics.csv"))
 
     # The snapshot is the network of the grid point at the configured
     # vigilance; a vigilance off the grid trains as one more point, which
@@ -439,19 +435,11 @@ def main(argv=None) -> int:
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s"
     )
     try:
-        config = _assemble_config(argv)
+        return run(_assemble_config(argv))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return run(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, LogParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, LogParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .workload import LogRecord
@@ -40,12 +40,22 @@ class AccessEvent(NamedTuple):
 
 
 class Session(NamedTuple):
-    """A client's maximal run of events with bounded think time."""
+    """A client's maximal run of events with bounded think time.
+
+    `events` is non-empty and in time order; `start` and `end` are the
+    timestamps of its first and last event.
+    """
 
     client_id: str
-    start: int
-    end: int
     events: tuple[AccessEvent, ...]
+
+    @property
+    def start(self) -> int:
+        return self.events[0].timestamp
+
+    @property
+    def end(self) -> int:
+        return self.events[-1].timestamp
 
 
 def _fields(
@@ -152,16 +162,12 @@ def segment_sessions(
         run: list[AccessEvent] = []
         for event in ordered:
             if run and event.timestamp - run[-1].timestamp > maximum_idle_time:
-                sessions.append(_close_session(client_id, run))
+                sessions.append(Session(client_id, tuple(run)))
                 run = []
             run.append(event)
         if run:
-            sessions.append(_close_session(client_id, run))
+            sessions.append(Session(client_id, tuple(run)))
     return sessions
-
-
-def _close_session(client_id: str, run: Sequence[AccessEvent]) -> Session:
-    return Session(client_id, run[0].timestamp, run[-1].timestamp, tuple(run))
 
 
 def group_sessions_by_window(

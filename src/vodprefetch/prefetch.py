@@ -21,27 +21,26 @@ class _CacheMetricsFields(NamedTuple):
     member_count: int
     prefetched_count: int
     hits: int
-    accuracy: float
 
 
 class CacheMetrics(_CacheMetricsFields):
-    """Prefetch score of one cluster; hits can never exceed what was prefetched."""
+    """Prefetch score of one cluster; hits can never exceed what was prefetched.
+
+    `accuracy` is hits over prefetched count, zero for an empty plan.
+    """
 
     __slots__ = ()
 
     def __new__(
-        cls,
-        cluster_index: int,
-        member_count: int,
-        prefetched_count: int,
-        hits: int,
-        accuracy: float,
+        cls, cluster_index: int, member_count: int, prefetched_count: int, hits: int
     ) -> CacheMetrics:
         if not 0 <= hits <= prefetched_count:
             raise ValueError(f"hits {hits} outside [0, prefetched {prefetched_count}]")
-        return super().__new__(
-            cls, cluster_index, member_count, prefetched_count, hits, accuracy
-        )
+        return super().__new__(cls, cluster_index, member_count, prefetched_count, hits)
+
+    @property
+    def accuracy(self) -> float:
+        return self.hits / self.prefetched_count if self.prefetched_count else 0.0
 
 
 class EvaluationResult(NamedTuple):
@@ -99,10 +98,7 @@ def evaluate_plan(
     for cluster in sorted(plan):
         urls = plan[cluster]
         hits = len(set(urls) & requested.get(cluster, set()))
-        accuracy = hits / len(urls) if urls else 0.0
-        metrics.append(
-            CacheMetrics(cluster, member_counts.get(cluster, 0), len(urls), hits, accuracy)
-        )
+        metrics.append(CacheMetrics(cluster, member_counts.get(cluster, 0), len(urls), hits))
     return EvaluationResult(tuple(metrics), tuple(sorted(unclustered)))
 
 
@@ -140,9 +136,7 @@ def sliding_run(
     recent: deque[list[PatternVector]] = deque(maxlen=history_windows or None)
     results: list[tuple[int, EvaluationResult]] = []
     for w in range(len(windows) - 1):
-        kept, dropped = patterns_for_sessions(windows[w], base, freq_threshold)
-        if dropped:
-            log.info("window %d: dropped %d all-zero patterns", w, dropped)
+        kept, _ = patterns_for_sessions(windows[w], base, freq_threshold)
         recent.append(kept)
         patterns = [pattern for batch in recent for pattern in batch]
         if not patterns:

@@ -14,4 +14,4 @@ def make_event(client: str, ts: int, video: str) -> AccessEvent:
 
 def make_session(client: str, requests: list[tuple[int, str]]) -> Session:
     events = tuple(make_event(client, ts, video) for ts, video in requests)
-    return Session(client, events[0].timestamp, events[-1].timestamp, events)
+    return Session(client, events)

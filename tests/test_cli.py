@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import vodprefetch.cli as cli
-from vodprefetch.art1 import load_snapshot, render_snapshot
+from vodprefetch.art1 import Art1Config, init_network, load_snapshot, render_snapshot, train
 from vodprefetch.cli import (
     EXIT_CAPACITY,
     EXIT_DATA,
@@ -92,12 +93,14 @@ def test_sweep_records_capacity_per_point():
     points = sweep_vigilance(
         patterns, (0.0, 1.0), input_dim=3, max_clusters=1, max_epochs=5
     )
-    assert points[0][:3] == (0.0, 1, None)
+    assert (points[0].vigilance, points[0].clusters, points[0].error) == (0.0, 1, None)
     assert points[1].clusters is None and points[1].error is not None
 
 
 def test_render_cluster_counts_skips_errors():
-    points = [SweepPoint(0.3, 4), SweepPoint(0.5, None, "out of clusters")]
+    net = init_network(Art1Config(4, 0.3, 4))
+    train(net, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    points = [SweepPoint(0.3, network=net), SweepPoint(0.5, "out of clusters")]
     assert render_cluster_counts(points) == "vigilance,clusters\n0.3,4\n"
 
 
@@ -241,6 +244,25 @@ def test_default_generated_run(tmp_path):
 
     net = load_snapshot(out / "network.snapshot")
     assert render_snapshot(net) == (out / "network.snapshot").read_text()
+
+
+# sha256 of each output of the default run, `vodprefetch --out DIR`.
+DEFAULT_RUN_SHA256 = {
+    "trace.log": "ec6b6c26b2985da45d4971130e7aff0abfcf5e970dd1734ea633e4e1174c42b9",
+    "ground_truth.csv": "b959fe2bd7cc3578ecb6acb72dcdc199f99b01bc6d37794eeb40c69691a5ed45",
+    "metrics.csv": "cfc1976ac72e57d1cbeac870b90be4d7149df3803e354d24eff1ce58f04d028f",
+    "cluster_counts.csv": "52cf4761eff600474ab845ad70c6a0b30e6147c930af086aa47e3682684a516b",
+    "network.snapshot": "29337e273e9d6b174fd2944dec8548733ff41d57c58805ccd550723606e19314",
+}
+
+
+def test_default_run_outputs_match_golden_digests(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--out", str(out)]) == EXIT_OK
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUT_FILES
+    }
+    assert digests == DEFAULT_RUN_SHA256
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -410,6 +432,34 @@ def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags):
     assert "error: window_spacing must be positive\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "ini, flags, code, message",
+    [
+        (None, ["--sweep", "0.3,1.5"], EXIT_USAGE, "sweep value 1.5 outside [0, 1]"),
+        (None, ["--session-idle", "0"], EXIT_USAGE, "session idle bound must be positive"),
+        (None, ["--freq-threshold", "0"], EXIT_USAGE, "freq_threshold must be >= 1"),
+        (None, ["--history-windows", "-1"], EXIT_USAGE, "history_windows must be >= 0"),
+        (None, ["--max-clusters", "-1"], EXIT_USAGE, "max_clusters must be >= 0"),
+        (None, ["--max-epochs", "0"], EXIT_USAGE, "max_epochs must be >= 1"),
+        ("[experiment]\nformat = tsv\n", [], EXIT_USAGE, "unknown log format 'tsv'"),
+        ("seed = 3\n", [], EXIT_USAGE, "bad config {ini}: File contains no section headers."),
+        (None, ["--out", "{taken}"], EXIT_DATA, "[Errno 17] File exists: '{taken}'"),
+    ],
+    ids=["sweep-value", "session-idle", "freq-threshold", "history-windows",
+         "max-clusters", "max-epochs", "log-format", "no-section-header", "out-is-a-file"],
+)
+def test_rejected_settings_exit_with_their_message(tmp_path, capsys, ini, flags, code, message):
+    paths = {"ini": str(tmp_path / "exp.ini"), "taken": str(tmp_path / "taken")}
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    argv = ["--out", str(tmp_path / "out")]
+    if ini is not None:
+        argv += ["--config", write_ini(tmp_path, ini)]
+    argv += [flag.format(**paths) for flag in flags]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(f"error: {message.format(**paths)}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_input_is_data_error(tmp_path, capsys):
     code = main(["--input", str(tmp_path / "nope.log"), "--out", str(tmp_path)])
     assert code == EXIT_DATA
@@ -502,6 +552,24 @@ def test_window_capacity_error_keeps_other_windows(tmp_path, caplog):
     assert rows[0] == "window,cluster,members,prefetched,hits,accuracy"
     assert [row.split(",")[0] for row in rows[1:]] == ["0", "2"]
     assert "window 1: prefetch evaluation ran out of clusters" in caplog.text
+
+
+def test_dropped_patterns_are_reported_once_with_the_total(tmp_path, caplog):
+    # Two daily windows; in each, one client requests its video twice and
+    # another requests a video only once, which gives an all-zero pattern.
+    days = [[("a", "v1", 2), ("b", "v2", 1)], [("a", "v1", 2), ("c", "v3", 1)]]
+    lines = [
+        f"{client} u1 {d * 86400 + 10 * (k + 1)} {video} 200 100"
+        for d, requests in enumerate(days)
+        for client, video, count in requests
+        for k in range(count)
+    ]
+    trace = tmp_path / "trace.log"
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    caplog.set_level(logging.INFO)
+    assert main(["--input", str(trace), "--out", str(tmp_path / "out")]) == EXIT_OK
+    dropped = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
+    assert dropped == ["dropped 2 all-zero patterns"]
 
 
 def test_force_assign_recovers_capacity(tmp_path):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import vodprefetch
-from vodprefetch.art1 import Art1Config, Assignment
+from vodprefetch.art1 import Art1Config, Assignment, init_network
 from vodprefetch.cli import SweepPoint
 from vodprefetch.logs import AccessEvent, Session
 from vodprefetch.patterns import BaseVector, PatternVector
@@ -47,12 +47,12 @@ VALUES = [
     Art1Config(4, 0.5, 3),
     Assignment((0,), ((),), True, 1),
     EVENT,
-    Session("c1", 5, 5, (EVENT,)),
+    Session("c1", (EVENT,)),
     BaseVector.from_urls(["v1", "v2"]),
     PatternVector("c1", (1, 0)),
-    CacheMetrics(0, 1, 2, 1, 0.5),
+    CacheMetrics(0, 1, 2, 1),
     EvaluationResult((), ()),
-    SweepPoint(0.5, 1),
+    SweepPoint(0.5),
 ]
 
 
@@ -63,6 +63,22 @@ def test_value_types_reject_attribute_assignment(value):
         setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
         value.not_a_field = 1
+
+
+def test_value_types_derive_what_their_fields_fix():
+    session = Session("c1", (AccessEvent("c1", 5, "v1"), AccessEvent("c1", 9, "v2")))
+    assert Session._fields == ("client_id", "events")
+    assert (session.start, session.end) == (5, 9)
+
+    assert CacheMetrics._fields == ("cluster_index", "member_count", "prefetched_count", "hits")
+    assert CacheMetrics(0, 1, 36, 34).accuracy == 34 / 36
+    assert CacheMetrics(0, 1, 0, 0).accuracy == 0.0
+
+    net = init_network(Art1Config(2, 0.5, 2))
+    net.prototypes = [0b01, 0b10]
+    assert SweepPoint._fields == ("vigilance", "error", "network")
+    assert SweepPoint(0.5, network=net).clusters == 2
+    assert SweepPoint(0.5, "out of clusters").clusters is None
 
 
 @pytest.mark.parametrize(
@@ -90,7 +106,7 @@ def test_art1_config_keeps_its_defaults_and_name():
 
 def test_cache_metrics_error_text():
     with pytest.raises(ValueError, match=r"^hits 3 outside \[0, prefetched 2\]$"):
-        CacheMetrics(0, 1, 2, 3, 1.5)
+        CacheMetrics(0, 1, 2, 3)
 
 
 @pytest.mark.parametrize(

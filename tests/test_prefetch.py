@@ -9,6 +9,7 @@ from vodprefetch.logs import group_sessions_by_window, segment_sessions
 from vodprefetch.patterns import BaseVector, build_base_vector
 from vodprefetch.prefetch import (
     CacheMetrics,
+    EvaluationResult,
     build_plan,
     evaluate_plan,
     member_weighted_accuracy,
@@ -83,7 +84,7 @@ def test_evaluate_counts_distinct_hits():
     sessions = [make_session("c1", [(0, "v1"), (1, "v1"), (2, "v3")])]
     result = evaluate_plan(plan, sessions, {"c1": 0})
     (metric,) = result.metrics
-    assert metric == CacheMetrics(0, 1, 2, 1, 0.5)
+    assert metric == CacheMetrics(0, 1, 2, 1)
 
 
 def test_evaluate_accuracy_fraction():
@@ -143,13 +144,13 @@ def test_evaluate_event_order_invariance():
 
 def test_metrics_validation():
     with pytest.raises(ValueError):
-        CacheMetrics(0, 1, 2, 3, 1.5)
+        CacheMetrics(0, 1, 2, 3)
 
 
 def test_member_weighted_accuracy():
     rows = [
-        (0, type("R", (), {"metrics": (CacheMetrics(0, 8, 36, 34, 34 / 36),
-                                       CacheMetrics(1, 2, 10, 5, 0.5))})()),
+        (0, type("R", (), {"metrics": (CacheMetrics(0, 8, 36, 34),
+                                       CacheMetrics(1, 2, 10, 5))})()),
     ]
     expected = (8 * 34 / 36 + 2 * 0.5) / 10
     assert member_weighted_accuracy(rows) == pytest.approx(expected)
@@ -207,7 +208,7 @@ def test_sliding_run_needs_two_windows():
         sliding_run([[]], base, Art1Config(1, 0.5, 1, 1))
 
 
-def test_sliding_run_empty_window_yields_empty_result():
+def test_sliding_run_empty_window_keeps_cumulative_history():
     sessions = _two_window_sessions(day=3 * 86400)
     base = build_base_vector([e for s in sessions for e in s.events])
     windows = group_sessions_by_window(sessions, 86400)
@@ -216,6 +217,24 @@ def test_sliding_run_empty_window_yields_empty_result():
     assert len(results) == 3
     # windows 1 and 2 retrain on cumulative history and still produce rows
     assert results[1][1].metrics and results[2][1].metrics
+
+
+def test_sliding_run_empty_history_yields_empty_result():
+    sessions = _two_window_sessions(day=3 * 86400)
+    base = build_base_vector([e for s in sessions for e in s.events])
+    windows = group_sessions_by_window(sessions, 86400)
+    assert [len(w) for w in windows] == [2, 0, 0, 2]
+    results = sliding_run(
+        windows, base, Art1Config(base.size, 0.5, 10, 10), history_windows=1
+    )
+    # the one-window history of window 1 is the empty window itself
+    assert results[1] == (1, EvaluationResult((), ()))
+
+
+def test_sliding_run_rejects_negative_history():
+    windows = group_sessions_by_window(_two_window_sessions(), 86400)
+    with pytest.raises(ValueError, match="history_windows must be >= 0"):
+        sliding_run(windows, base_of("v1", "v2"), Art1Config(2, 0.5, 1, 1), history_windows=-1)
 
 
 def test_sliding_run_history_restriction():
@@ -309,8 +328,8 @@ def test_cluster_left_by_its_clients_keeps_a_zero_member_row():
     results = sliding_run(windows, base, Art1Config(base.size, 0.9, 10, 10))
     assert [w for w, _ in results] == [0, 1]
     assert results[1][1].metrics == (
-        CacheMetrics(0, 0, 2, 0, 0.0),
-        CacheMetrics(1, 1, 2, 1, 0.5),
+        CacheMetrics(0, 0, 2, 0),
+        CacheMetrics(1, 1, 2, 1),
     )
     # Two member-weighted rows (0.0 in window 0, 0.5 in window 1); the
     # zero-member row adds no weight.
