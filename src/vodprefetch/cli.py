@@ -1,9 +1,8 @@
 """Experiment runner and command-line interface.
 
-Ties the pipeline together: generate or ingest a trace, extract
-per-session request patterns, cluster them over sliding windows, score
-prototype prefetching, sweep the vigilance grid, and write CSV results
-plus the snapshot of the network trained at the configured vigilance.
+Reads the flags and the INI config, generates or ingests a trace, extracts its patterns,
+runs `prefetch`'s sliding evaluation and vigilance sweep, writes the CSV results, and
+snapshots the network of the sweep point at the configured vigilance.
 """
 
 from __future__ import annotations
@@ -13,11 +12,10 @@ import logging
 import os
 import re
 import sys
-from typing import NamedTuple
 
 # The benchmark's tracer wraps the pipeline's calls by their names in this
-# module; parse_log_file and preprocess are imported for the tracer alone.
-from .art1 import Art1Config, Art1Network, CapacityError, init_network, save_snapshot, train
+# module; parse_log_file, preprocess and train are imported for the tracer alone.
+from .art1 import Art1Config, save_snapshot, train
 from .fileio import atomic_write
 from .logs import (
     DEFAULT_MAX_IDLE_SECONDS,
@@ -35,7 +33,8 @@ from .patterns import (
     patterns_for_sessions,
     write_pattern_matrix,
 )
-from .prefetch import member_weighted_accuracy, sliding_run, write_metrics_csv
+from .prefetch import SweepPoint, sliding_run, sweep_vigilance
+from .prefetch import member_weighted_accuracy, write_metrics_csv
 
 log = logging.getLogger(__name__)
 
@@ -77,56 +76,6 @@ def _validate(config: argparse.Namespace) -> None:
         raise UsageError("max_epochs must be >= 1")
     if config.log_format not in ("whitespace", "csv"):
         raise UsageError(f"unknown log format {config.log_format!r}")
-
-
-class SweepPoint(NamedTuple):
-    """One vigilance grid point: its network when training succeeded, else the error.
-
-    `clusters` is the network's active cluster count, None without a network.
-    """
-
-    vigilance: float
-    error: str | None = None
-    network: Art1Network | None = None
-
-    @property
-    def clusters(self) -> int | None:
-        return None if self.network is None else self.network.active_clusters
-
-
-def sweep_vigilance(
-    patterns: list[tuple[int, ...]],
-    grid: tuple[float, ...],
-    *,
-    input_dim: int,
-    max_clusters: int,
-    max_epochs: int = 10,
-    force_assign: bool = False,
-) -> list[SweepPoint]:
-    """Train one independent network per grid value on the same patterns.
-
-    Grid points are mutually independent; a capacity failure is recorded on
-    its own point and the remaining points still run. Each successful point
-    keeps the network it trained; one that reaches max_epochs without
-    converging logs a warning.
-    """
-    if not grid:
-        raise ValueError("sweep grid must not be empty")
-    points = []
-    for value in grid:
-        config = Art1Config(input_dim, value, max_clusters, max_epochs)
-        net = init_network(config)
-        try:
-            assignment = train(net, patterns, force_assign=force_assign)
-        except CapacityError as exc:
-            points.append(SweepPoint(value, str(exc)))
-            continue
-        if not assignment.converged:
-            log.warning(
-                "vigilance %g: training did not converge in %d epochs", value, assignment.epochs
-            )
-        points.append(SweepPoint(value, network=net))
-    return points
 
 
 def render_cluster_counts(points: list[SweepPoint]) -> str:

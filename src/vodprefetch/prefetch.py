@@ -1,4 +1,4 @@
-"""Prototype-driven prefetch plans and their hit/accuracy scoring."""
+"""ART1 training for the sliding run and the sweep; prototype prefetch plans and their scores."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import logging
 from collections import Counter, deque
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .art1 import Art1Config, Art1Network, CapacityError, init_network, train
+from .art1 import Art1Config, Art1Network, Assignment, CapacityError, init_network, train
 from .fileio import atomic_write
 from .logs import Session
 from .patterns import DEFAULT_FREQ_THRESHOLD, BaseVector, PatternVector, patterns_for_sessions
@@ -49,6 +49,36 @@ class EvaluationResult(NamedTuple):
     metrics: tuple[CacheMetrics, ...]
     unclustered_clients: tuple[str, ...]
     error: str | None = None
+
+
+class SweepPoint(NamedTuple):
+    """One vigilance grid point: its network when training succeeded, else the error.
+
+    `clusters` is the network's active cluster count, None without a network.
+    """
+
+    vigilance: float
+    error: str | None = None
+    network: Art1Network | None = None
+
+    @property
+    def clusters(self) -> int | None:
+        return None if self.network is None else self.network.active_clusters
+
+
+def _train_fresh(
+    config: Art1Config, patterns: list[tuple[int, ...]], force_assign: bool, label: str
+) -> tuple[Art1Network, Assignment, None] | tuple[None, None, str]:
+    """Train a fresh network: (network, assignment, None), or (None, None, the
+    CapacityError text). Warns, naming `label`, when max_epochs ends it unconverged."""
+    net = init_network(config)
+    try:
+        assignment = train(net, patterns, force_assign=force_assign)
+    except CapacityError as exc:
+        return None, None, str(exc)
+    if not assignment.converged:
+        log.warning("%s: training did not converge in %d epochs", label, assignment.epochs)
+    return net, assignment, None
 
 
 def build_plan(
@@ -125,9 +155,9 @@ def sliding_run(
     which carries no weight in member_weighted_accuracy. Windows with no
     usable patterns yield an empty result; a window whose training runs
     out of clusters records the error on its result and the remaining
-    windows still run. A training that reaches max_epochs without
-    converging logs a warning. Each window's patterns are extracted once
-    and reused by every history that includes it.
+    windows still run. Each training runs through `_train_fresh`, labelled
+    `window W`. Each window's patterns are extracted once and reused by
+    every history that includes it.
     """
     if len(windows) < 2:
         raise ValueError("sliding evaluation needs at least two session windows")
@@ -142,22 +172,42 @@ def sliding_run(
         if not patterns:
             results.append((w, EvaluationResult((), ())))
             continue
-        net = init_network(art_config)
-        try:
-            assignment = train(net, [p.bits for p in patterns], force_assign=force_assign)
-        except CapacityError as exc:
-            results.append((w, EvaluationResult((), (), str(exc))))
+        bits = [p.bits for p in patterns]
+        net, assignment, error = _train_fresh(art_config, bits, force_assign, f"window {w}")
+        if error is not None:
+            results.append((w, EvaluationResult((), (), error)))
             continue
-        if not assignment.converged:
-            log.warning(
-                "window %d: training did not converge in %d epochs", w, assignment.epochs
-            )
         membership: dict[str, int] = {}
         for pattern, cluster in zip(patterns, assignment.clusters):
             membership[pattern.client_id] = cluster  # later sessions overwrite
         plan = build_plan(net, assignment.clusters, base)
         results.append((w, evaluate_plan(plan, windows[w + 1], membership)))
     return results
+
+
+def sweep_vigilance(
+    patterns: list[tuple[int, ...]],
+    grid: tuple[float, ...],
+    *,
+    input_dim: int,
+    max_clusters: int,
+    max_epochs: int = 10,
+    force_assign: bool = False,
+) -> list[SweepPoint]:
+    """Train one independent network per grid value on the same patterns.
+
+    A capacity failure is recorded on its own point and the remaining points
+    still run; each successful point keeps the network it trained. Each
+    training runs through `_train_fresh`, labelled `vigilance V`.
+    """
+    if not grid:
+        raise ValueError("sweep grid must not be empty")
+    points = []
+    for value in grid:
+        config = Art1Config(input_dim, value, max_clusters, max_epochs)
+        net, _, error = _train_fresh(config, patterns, force_assign, f"vigilance {value:g}")
+        points.append(SweepPoint(value, error, net))
+    return points
 
 
 def member_weighted_accuracy(results: Sequence[tuple[int, EvaluationResult]]) -> float:

@@ -530,9 +530,9 @@ def test_failed_final_training_leaves_no_snapshot(tmp_path):
     assert not (out / "network.snapshot").exists()
 
 
-def test_window_capacity_error_keeps_other_windows(tmp_path, caplog):
-    # Four daily windows, one-window history, one cluster: window 1 has two
-    # disjoint patterns and runs out of clusters, windows 0 and 2 do not.
+def write_one_cluster_trace(tmp_path):
+    """Four daily windows; under a one-window history and one cluster, window
+    1 has two disjoint patterns and runs out of clusters, windows 0 and 2 do not."""
     days = [[("a", "v1")], [("a", "v1"), ("b", "v2")], [("a", "v1")], [("a", "v1")]]
     lines = [
         f"{client} u1 {d * 86400 + offset} {video} 200 100"
@@ -542,9 +542,13 @@ def test_window_capacity_error_keeps_other_windows(tmp_path, caplog):
     ]
     trace = tmp_path / "trace.log"
     trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(trace)
+
+
+def test_window_capacity_error_keeps_other_windows(tmp_path, caplog):
     out = tmp_path / "out"
     code = main(
-        ["--input", str(trace), "--out", str(out), "--history-windows", "1",
+        ["--input", write_one_cluster_trace(tmp_path), "--out", str(out), "--history-windows", "1",
          "--max-clusters", "1", "--vigilance", "0.9", "--sweep", "0"]
     )
     assert code == EXIT_CAPACITY
@@ -552,6 +556,31 @@ def test_window_capacity_error_keeps_other_windows(tmp_path, caplog):
     assert rows[0] == "window,cluster,members,prefetched,hits,accuracy"
     assert [row.split(",")[0] for row in rows[1:]] == ["0", "2"]
     assert "window 1: prefetch evaluation ran out of clusters" in caplog.text
+
+
+def test_failing_run_logs_windows_then_sweep_in_order(tmp_path, caplog):
+    # Both training loops warn and fail through one helper; cli.run reports
+    # the sliding run's errors before the sweep runs, and the sweep's after.
+    out = tmp_path / "out"
+    caplog.set_level(logging.INFO)
+    code = main(
+        ["--input", write_one_cluster_trace(tmp_path), "--out", str(out), "--history-windows", "1",
+         "--max-clusters", "1", "--vigilance", "0.9", "--sweep", "0 0.9", "--max-epochs", "1"]
+    )
+    assert code == EXIT_CAPACITY
+    assert (out / "cluster_counts.csv").read_text() == "vigilance,clusters\n0,1\n"
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0", "2"]
+    assert not (out / "network.snapshot").exists()
+    exhausted = "no free cluster and none passed vigilance (best: cluster 0, similarity 0.000000)"
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "window 0: training did not converge in 1 epochs"),
+        ("WARNING", "window 2: training did not converge in 1 epochs"),
+        ("ERROR", f"window 1: prefetch evaluation ran out of clusters: {exhausted}"),
+        ("INFO", "member-weighted prefetch accuracy 1.0000 over 4 windows"),
+        ("WARNING", "vigilance 0: training did not converge in 1 epochs"),
+        ("ERROR", f"vigilance 0.9: {exhausted}"),
+    ]
 
 
 def test_dropped_patterns_are_reported_once_with_the_total(tmp_path, caplog):

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -140,7 +141,8 @@ def test_readme_library_example_runs(capsys):
 
 def test_benchmark_tracer_finds_the_pipeline(tmp_path):
     # perfbench/traced.py wraps pipeline functions by their names in `cli`
-    # and `prefetch`; a renamed or removed one makes it fail or lose spans.
+    # and `prefetch`; a renamed or removed one makes it fail or lose spans,
+    # and a call that moves changes its parent span.
     root = Path(__file__).parents[1]
     config = WorkloadConfig(
         num_clients=8, num_videos=16, num_groups=2, requests_min=20, requests_max=30
@@ -159,6 +161,23 @@ def test_benchmark_tracer_finds_the_pipeline(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    names = {row[0] for row in json.loads(result.read_text())["spans"]}
-    expected = {"cli.run", "cli.sweep", "prefetch.sliding", "art1.train", "prefetch.evaluate"}
-    assert expected <= names
+    rows = json.loads(result.read_text())["spans"]
+    tree = Counter((name, None if parent is None else rows[parent][0]) for name, parent, *_ in rows)
+    # Every training runs under a wrapped `train` name, inside the sliding
+    # run (one per window but the last) or the sweep (one per grid point).
+    assert tree == {
+        ("cli.main", None): 1,
+        ("cli.run", "cli.main"): 1,
+        **{
+            (name, "cli.run"): 1
+            for name in ("logs.segment", "logs.window", "patterns.base", "prefetch.sliding",
+                         "prefetch.report", "cli.sweep", "art1.snapshot", "fileio.write")
+        },
+        ("patterns.extract", "cli.run"): 3,
+        ("patterns.extract", "prefetch.sliding"): 2,
+        ("art1.train", "prefetch.sliding"): 2,
+        ("art1.train", "cli.sweep"): 6,
+        ("prefetch.evaluate", "prefetch.sliding"): 2,
+        ("fileio.write", "prefetch.report"): 1,
+        ("fileio.write", "art1.snapshot"): 1,
+    }

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import logging
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vodprefetch.art1 import Art1Config, init_network, train
+from vodprefetch.art1 import Art1Config, CapacityError, init_network, train
 from vodprefetch.logs import group_sessions_by_window, segment_sessions
-from vodprefetch.patterns import BaseVector, build_base_vector
+from vodprefetch.patterns import BaseVector, build_base_vector, patterns_for_sessions
 from vodprefetch.prefetch import (
     CacheMetrics,
     EvaluationResult,
@@ -15,6 +18,7 @@ from vodprefetch.prefetch import (
     member_weighted_accuracy,
     render_metrics_csv,
     sliding_run,
+    sweep_vigilance,
 )
 
 from conftest import make_event, make_session
@@ -334,3 +338,116 @@ def test_cluster_left_by_its_clients_keeps_a_zero_member_row():
     # Two member-weighted rows (0.0 in window 0, 0.5 in window 1); the
     # zero-member row adds no weight.
     assert member_weighted_accuracy(results) == 0.25
+
+
+# --- one training path: the sweep and the sliding run against direct trainings ---
+
+
+class _Warnings(logging.Handler):
+    """Collects the messages `prefetch` logs at WARNING while installed."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        logging.getLogger("vodprefetch.prefetch").addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc):
+        logging.getLogger("vodprefetch.prefetch").removeHandler(self)
+
+
+def _direct_training(config, bits, force_assign):
+    """init_network + train, as the pipeline's own helper should run them."""
+    net = init_network(config)
+    try:
+        return net, train(net, bits, force_assign=force_assign), None
+    except CapacityError as exc:
+        return None, None, str(exc)
+
+
+def _unconverged(label, assignment):
+    if assignment is None or assignment.converged:
+        return []
+    return [f"{label}: training did not converge in {assignment.epochs} epochs"]
+
+
+pattern_sets = st.integers(1, 6).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(
+            st.lists(st.integers(0, 1), min_size=dim, max_size=dim)
+            .map(tuple)
+            .filter(any),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+)
+
+
+@given(
+    pattern_sets,
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=5),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_sweep_equals_direct_trainings(case, grid, max_clusters, max_epochs, force_assign):
+    dim, patterns = case
+    with _Warnings() as warnings:
+        points = sweep_vigilance(
+            patterns, tuple(grid), input_dim=dim, max_clusters=max_clusters,
+            max_epochs=max_epochs, force_assign=force_assign,
+        )
+    expected_warnings = []
+    for point, value in zip(points, grid, strict=True):
+        config = Art1Config(dim, value, max_clusters, max_epochs)
+        net, assignment, error = _direct_training(config, patterns, force_assign)
+        assert (point.vigilance, point.error) == (value, error)
+        if error is None:
+            assert point.network.config == config
+            assert point.network.prototypes == net.prototypes
+            assert point.clusters == net.active_clusters
+        else:
+            assert point.network is None and point.clusters is None
+        expected_warnings += _unconverged(f"vigilance {value:g}", assignment)
+    assert warnings == expected_warnings
+
+
+@pytest.mark.parametrize("history_windows", [0, 1])
+@pytest.mark.parametrize("seed", range(8))
+def test_sliding_run_equals_direct_trainings(seed, history_windows):
+    rng = random.Random(seed)
+    clients, videos = ("a", "b", "c", "d"), ("v1", "v2", "v3", "v4", "v5")
+    windows, base = _windows_of(
+        [
+            [(c, v) for c in clients if rng.random() < 0.5 for v in rng.sample(videos, 2)]
+            for _ in range(5)
+        ]
+    )
+    config = Art1Config(base.size, 0.6, 3, 1 + seed % 2)
+    with _Warnings() as warnings:
+        results = sliding_run(windows, base, config, history_windows=history_windows)
+    assert [w for w, _ in results] == list(range(len(windows) - 1))
+    expected_warnings = []
+    for w, result in results:
+        history = windows[max(0, w + 1 - history_windows) if history_windows else 0 : w + 1]
+        patterns = [p for window in history for p in patterns_for_sessions(window, base)[0]]
+        if not patterns:
+            assert result == EvaluationResult((), ())
+            continue
+        net, assignment, error = _direct_training(config, [p.bits for p in patterns], False)
+        if error is not None:
+            assert result == EvaluationResult((), (), error)
+            continue
+        membership = {p.client_id: c for p, c in zip(patterns, assignment.clusters)}
+        plan = build_plan(net, assignment.clusters, base)
+        assert result == evaluate_plan(plan, windows[w + 1], membership)
+        expected_warnings += _unconverged(f"window {w}", assignment)
+    assert warnings == expected_warnings
