@@ -141,7 +141,6 @@ def run(config: argparse.Namespace) -> int:
     max_clusters = config.max_clusters or len(all_patterns)
     art_config = Art1Config(base.size, config.vigilance, max_clusters, config.max_epochs)
 
-    capacity_failures: list[str] = []
     results = []
     if len(windows) >= 2:
         results = sliding_run(
@@ -160,7 +159,6 @@ def run(config: argparse.Namespace) -> int:
                     window,
                     result.error,
                 )
-                capacity_failures.append(result.error)
         log.info(
             "member-weighted prefetch accuracy %.4f over %d windows",
             member_weighted_accuracy(results),
@@ -191,7 +189,6 @@ def run(config: argparse.Namespace) -> int:
     for point in points:
         if point.error is not None:
             log.error("vigilance %g: %s", point.vigilance, point.error)
-            capacity_failures.append(point.error)
     final = points[grid.index(config.vigilance)]
     snapshot = os.path.join(out, "network.snapshot")
     if final.network is not None:
@@ -199,7 +196,8 @@ def run(config: argparse.Namespace) -> int:
     else:
         _remove_stale(snapshot)
 
-    return EXIT_CAPACITY if capacity_failures else EXIT_OK
+    outcomes = [result for _, result in results] + points
+    return EXIT_CAPACITY if any(item.error is not None for item in outcomes) else EXIT_OK
 
 
 def _remove_stale(path: str) -> None:
@@ -341,7 +339,11 @@ def _load_config_file(path: str, parser: _Parser) -> dict:
         schedule: dict[int, tuple[float, ...]] = {}
         if ini.has_section("schedule"):
             for key, raw in ini["schedule"].items():
-                multipliers = _parse_float_list(raw)
+                try:
+                    multipliers = _parse_float_list(raw)
+                except UsageError:
+                    # The ValueError handler below names the file.
+                    raise ValueError(f"[schedule] {key!r} needs a list of numbers, got {raw!r}")
                 for hour in _parse_hour_key(key):
                     schedule[hour] = multipliers
         if schedule:

@@ -428,3 +428,23 @@ def test_snapshot_rejects_malformed(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError):
         load_snapshot(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 2 x 1\n", "malformed snapshot header: '3 2 x 1'"),
+        ("3 2 0.5 3\n", "active cluster count 3 outside [0, 2]"),
+        (
+            "3 7 0.5 2\n101\n0.4 0 0.4\n110\n0.4 0.4 x\n",
+            "bad weight row for cluster 1: could not convert string to float: 'x'",
+        ),
+    ],
+    ids=["header-value", "active-count", "weight-token"],
+)
+def test_snapshot_errors_name_their_cause(tmp_path, text, message):
+    path = tmp_path / "bad.snapshot"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_snapshot(path)
+    assert str(info.value) == message

@@ -115,6 +115,30 @@ def test_training_agrees_with_reference(case, vigilance, epochs):
     assert net.bottom_up == ref_weights
 
 
+def test_stopping_rule_matches_reference():
+    # Convergence on the last allowed epoch must still count: a repeat there
+    # returns converged=True with epochs == max_epochs. Hundreds of these
+    # seeded cases land exactly on that boundary.
+    rng = random.Random(2009)
+    at_last_epoch = 0
+    for _ in range(3000):
+        dim = rng.randint(1, 8)
+        masks = [rng.randrange(1, 1 << dim) for _ in range(rng.randint(1, 6))]
+        patterns = [tuple(mask >> i & 1 for i in range(dim)) for mask in masks]
+        vigilance = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0])
+        max_epochs = rng.randint(1, 4)
+        net = init_network(Art1Config(dim, vigilance, len(patterns), max_epochs))
+        assignment = train(net, patterns)
+        ref_asg, ref_proto, _, ref_epochs, ref_converged = reference_train(
+            patterns, vigilance, len(patterns), max_epochs
+        )
+        assert list(assignment.clusters) == ref_asg
+        assert (assignment.epochs, assignment.converged) == (ref_epochs, ref_converged)
+        assert net.top_down == ref_proto
+        at_last_epoch += ref_converged and ref_epochs == max_epochs
+    assert at_last_epoch >= 500
+
+
 def _straight_line_train(
     patterns, vigilance, max_clusters, max_epochs, force_assign, prototypes=()
 ):

@@ -443,10 +443,19 @@ def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags):
         (None, ["--max-epochs", "0"], EXIT_USAGE, "max_epochs must be >= 1"),
         ("[experiment]\nformat = tsv\n", [], EXIT_USAGE, "unknown log format 'tsv'"),
         ("seed = 3\n", [], EXIT_USAGE, "bad config {ini}: File contains no section headers."),
+        ("[schedule]\n18 =\n", [], EXIT_USAGE,
+         "bad config {ini}: [schedule] '18' needs a list of numbers, got ''"),
+        ("[schedule]\n18 = 4 x 1 1 1\n", [], EXIT_USAGE,
+         "bad config {ini}: [schedule] '18' needs a list of numbers, got '4 x 1 1 1'"),
+        ("[clustering]\nmax_epochs = many\n", [], EXIT_USAGE,
+         "bad config {ini}: invalid literal for int() with base 10: 'many'"),
+        ("[experiment]\ndump_patterns = maybe\n", [], EXIT_USAGE,
+         "bad config {ini}: Not a boolean: maybe"),
         (None, ["--out", "{taken}"], EXIT_DATA, "[Errno 17] File exists: '{taken}'"),
     ],
     ids=["sweep-value", "session-idle", "freq-threshold", "history-windows",
-         "max-clusters", "max-epochs", "log-format", "no-section-header", "out-is-a-file"],
+         "max-clusters", "max-epochs", "log-format", "no-section-header", "schedule-empty",
+         "schedule-garbage", "config-int", "config-bool", "out-is-a-file"],
 )
 def test_rejected_settings_exit_with_their_message(tmp_path, capsys, ini, flags, code, message):
     paths = {"ini": str(tmp_path / "exp.ini"), "taken": str(tmp_path / "taken")}
@@ -581,6 +590,37 @@ def test_failing_run_logs_windows_then_sweep_in_order(tmp_path, caplog):
         ("WARNING", "vigilance 0: training did not converge in 1 epochs"),
         ("ERROR", f"vigilance 0.9: {exhausted}"),
     ]
+
+
+def test_failed_window_alone_is_exit_three(tmp_path, monkeypatch, caplog):
+    # A window trains on a subset of the sweep's patterns, and no small trace
+    # was found where it runs out of clusters and the sweep does not, so the
+    # failure is put on one window's result.
+    real_sliding_run = cli.sliding_run
+
+    def first_window_fails(*args, **kwargs):
+        (window, result), *rest = real_sliding_run(*args, **kwargs)
+        return [(window, result._replace(metrics=(), error="out of clusters")), *rest]
+
+    monkeypatch.setattr(cli, "sliding_run", first_window_fails)
+    argv = ["--input", write_one_cluster_trace(tmp_path), "--out", str(tmp_path / "out"),
+            "--vigilance", "0", "--sweep", "0"]
+    assert main(argv) == EXIT_CAPACITY
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["window 0: prefetch evaluation ran out of clusters: out of clusters"]
+
+
+def test_failed_sweep_alone_is_exit_three(tmp_path, caplog):
+    # One window, so no sliding evaluation runs; two disjoint patterns need
+    # two clusters at vigilance 0.9.
+    trace = tmp_path / "one-day.log"
+    lines = [f"{c} u1 {t} {v} 200 100\n" for c, v in (("a", "v1"), ("b", "v2")) for t in (10, 20)]
+    trace.write_text("".join(lines), encoding="utf-8")
+    argv = ["--input", str(trace), "--out", str(tmp_path / "out"), "--max-clusters", "1",
+            "--vigilance", "0.9", "--sweep", "0.9"]
+    assert main(argv) == EXIT_CAPACITY
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith("vigilance 0.9: no free cluster")
 
 
 def test_dropped_patterns_are_reported_once_with_the_total(tmp_path, caplog):

@@ -77,6 +77,20 @@ def test_feasibility_rejects_too_few_videos():
 # --- planted structure ---
 
 
+def test_plant_gives_every_group_videos_exactly_when_feasible():
+    # validate_feasibility is the only guard against an empty catalog.
+    for groups in range(1, 7):
+        for videos in range(1, 7):
+            for shared in range(videos + 1):
+                config = small_config(num_groups=groups, num_videos=videos, shared_pool=shared)
+                if shared == 0 and videos < groups:
+                    with pytest.raises(ValueError, match="exclusive catalogs"):
+                        plant_ground_truth(config)
+                else:
+                    truth = plant_ground_truth(config)
+                    assert all(truth.catalogs[g] for g in range(groups))
+
+
 def test_plant_contiguous_groups():
     truth = plant_ground_truth(small_config())
     assert truth.group_of == {
