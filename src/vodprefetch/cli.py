@@ -14,7 +14,9 @@ import re
 import sys
 
 # The benchmark's tracer wraps the pipeline's calls by their names in this
-# module; parse_log_file, preprocess and train are imported for the tracer alone.
+# module, so `run` calls each by its imported name (the sliding span wraps
+# `sliding_run`); parse_log_file, preprocess and train are imported for the
+# tracer alone.
 from .art1 import Art1Config, save_snapshot, train
 from .fileio import atomic_write
 from .logs import (
@@ -119,12 +121,15 @@ def run(config: argparse.Namespace) -> int:
     sessions = segment_sessions(events, config.maximum_idle_time)
     windows = group_sessions_by_window(sessions, config.window_spacing)
 
-    all_patterns: list[PatternVector] = []
+    # Each session's pattern is extracted here once; the sliding run trains
+    # on these per-window lists and the sweep on their concatenation.
+    window_patterns: list[list[PatternVector]] = []
     dropped = 0
     for window in windows:
         kept, d = patterns_for_sessions(window, base, config.freq_threshold)
-        all_patterns.extend(kept)
+        window_patterns.append(kept)
         dropped += d
+    all_patterns = [pattern for kept in window_patterns for pattern in kept]
     if dropped:
         log.info("dropped %d all-zero patterns", dropped)
     if not all_patterns:
@@ -147,7 +152,7 @@ def run(config: argparse.Namespace) -> int:
             windows,
             base,
             art_config,
-            freq_threshold=config.freq_threshold,
+            patterns=window_patterns,
             history_windows=config.history_windows,
             force_assign=config.force_assign,
         )
@@ -264,6 +269,14 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
         raise UsageError(f"bad sweep grid {raw!r}") from None
 
 
+def _config_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
+    # A ValueError, which _load_config_file reports with the file's name.
+    try:
+        return _parse_float_list(raw)
+    except UsageError:
+        raise ValueError(f"[{section}] {key!r} needs a list of numbers, got {raw!r}") from None
+
+
 def _parse_hour_key(key: str) -> list[int]:
     match = re.fullmatch(r"(\d{1,2})(?:-(\d{1,2}))?", key.strip())
     if not match:
@@ -320,7 +333,7 @@ def _load_config_file(path: str, parser: _Parser) -> dict:
                 if isinstance(default, bool):
                     settings[dest] = ini.getboolean(section, key)
                 elif isinstance(default, tuple):
-                    settings[dest] = _parse_float_list(raw)
+                    settings[dest] = _config_float_list(section, key, raw)
                 else:
                     settings[dest] = type(default)(raw)
         workload_kwargs = {}
@@ -339,11 +352,7 @@ def _load_config_file(path: str, parser: _Parser) -> dict:
         schedule: dict[int, tuple[float, ...]] = {}
         if ini.has_section("schedule"):
             for key, raw in ini["schedule"].items():
-                try:
-                    multipliers = _parse_float_list(raw)
-                except UsageError:
-                    # The ValueError handler below names the file.
-                    raise ValueError(f"[schedule] {key!r} needs a list of numbers, got {raw!r}")
+                multipliers = _config_float_list("schedule", key, raw)
                 for hour in _parse_hour_key(key):
                     schedule[hour] = multipliers
         if schedule:

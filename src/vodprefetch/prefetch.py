@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .art1 import Art1Config, Art1Network, Assignment, CapacityError, init_network, train
 from .fileio import atomic_write
 from .logs import Session
-from .patterns import DEFAULT_FREQ_THRESHOLD, BaseVector, PatternVector, patterns_for_sessions
+from .patterns import BaseVector, PatternVector, patterns_for_sessions
 
 log = logging.getLogger(__name__)
 
@@ -137,7 +137,7 @@ def sliding_run(
     base: BaseVector,
     art_config: Art1Config,
     *,
-    freq_threshold: int = DEFAULT_FREQ_THRESHOLD,
+    patterns: Sequence[list[PatternVector]] | None = None,
     history_windows: int = 0,
     force_assign: bool = False,
 ) -> list[tuple[int, EvaluationResult]]:
@@ -156,29 +156,36 @@ def sliding_run(
     usable patterns yield an empty result; a window whose training runs
     out of clusters records the error on its result and the remaining
     windows still run. Each training runs through `_train_fresh`, labelled
-    `window W`. Each window's patterns are extracted once and reused by
-    every history that includes it.
+    `window W`.
+
+    It trains on `patterns`, the kept patterns of each window in window
+    order, as the caller extracted them; every history that includes a
+    window reuses its list. Without `patterns`, each window's are
+    extracted here at the default frequency threshold.
     """
     if len(windows) < 2:
         raise ValueError("sliding evaluation needs at least two session windows")
     if history_windows < 0:
         raise ValueError("history_windows must be >= 0")
+    if patterns is None:
+        patterns = [patterns_for_sessions(window, base)[0] for window in windows]
+    elif len(patterns) != len(windows):
+        raise ValueError(f"{len(patterns)} pattern lists for {len(windows)} windows")
     recent: deque[list[PatternVector]] = deque(maxlen=history_windows or None)
     results: list[tuple[int, EvaluationResult]] = []
     for w in range(len(windows) - 1):
-        kept, _ = patterns_for_sessions(windows[w], base, freq_threshold)
-        recent.append(kept)
-        patterns = [pattern for batch in recent for pattern in batch]
-        if not patterns:
+        recent.append(patterns[w])
+        history = [pattern for batch in recent for pattern in batch]
+        if not history:
             results.append((w, EvaluationResult((), ())))
             continue
-        bits = [p.bits for p in patterns]
+        bits = [p.bits for p in history]
         net, assignment, error = _train_fresh(art_config, bits, force_assign, f"window {w}")
         if error is not None:
             results.append((w, EvaluationResult((), (), error)))
             continue
         membership: dict[str, int] = {}
-        for pattern, cluster in zip(patterns, assignment.clusters):
+        for pattern, cluster in zip(history, assignment.clusters):
             membership[pattern.client_id] = cluster  # later sessions overwrite
         plan = build_plan(net, assignment.clusters, base)
         results.append((w, evaluate_plan(plan, windows[w + 1], membership)))

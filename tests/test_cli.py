@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import vodprefetch.cli as cli
+import vodprefetch.patterns as patterns_module
 from vodprefetch.art1 import Art1Config, init_network, load_snapshot, render_snapshot, train
 from vodprefetch.cli import (
     EXIT_CAPACITY,
@@ -145,14 +146,19 @@ def test_unknown_config_key_or_section_is_usage_error(tmp_path, capsys, text, na
 
 
 @pytest.mark.parametrize(
-    "text, flags",
-    [(SMALL_INI, ["--sweep", ""]), (SMALL_INI + "\n[clustering]\nsweep =\n", [])],
+    "text, flags, message",
+    [
+        (SMALL_INI, ["--sweep", ""], "error: empty sweep grid"),
+        (SMALL_INI + "\n[clustering]\nsweep =\n", [],
+         "error: bad config {ini}: [clustering] 'sweep' needs a list of numbers, got ''"),
+    ],
     ids=["flag", "config"],
 )
-def test_empty_sweep_grid_is_usage_error(tmp_path, capsys, text, flags):
-    argv = ["--config", write_ini(tmp_path, text), "--out", str(tmp_path / "out"), *flags]
+def test_empty_sweep_grid_is_usage_error(tmp_path, capsys, text, flags, message):
+    ini = write_ini(tmp_path, text)
+    argv = ["--config", ini, "--out", str(tmp_path / "out"), *flags]
     assert main(argv) == EXIT_USAGE
-    assert "error: empty sweep grid" in capsys.readouterr().err
+    assert message.format(ini=ini) in capsys.readouterr().err
 
 
 # Every [experiment]/[clustering] key that takes a value: the setting it
@@ -447,6 +453,8 @@ def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags):
          "bad config {ini}: [schedule] '18' needs a list of numbers, got ''"),
         ("[schedule]\n18 = 4 x 1 1 1\n", [], EXIT_USAGE,
          "bad config {ini}: [schedule] '18' needs a list of numbers, got '4 x 1 1 1'"),
+        ("[clustering]\nsweep = a b\n", [], EXIT_USAGE,
+         "bad config {ini}: [clustering] 'sweep' needs a list of numbers, got 'a b'"),
         ("[clustering]\nmax_epochs = many\n", [], EXIT_USAGE,
          "bad config {ini}: invalid literal for int() with base 10: 'many'"),
         ("[experiment]\ndump_patterns = maybe\n", [], EXIT_USAGE,
@@ -455,7 +463,7 @@ def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags):
     ],
     ids=["sweep-value", "session-idle", "freq-threshold", "history-windows",
          "max-clusters", "max-epochs", "log-format", "no-section-header", "schedule-empty",
-         "schedule-garbage", "config-int", "config-bool", "out-is-a-file"],
+         "schedule-garbage", "config-sweep", "config-int", "config-bool", "out-is-a-file"],
 )
 def test_rejected_settings_exit_with_their_message(tmp_path, capsys, ini, flags, code, message):
     paths = {"ini": str(tmp_path / "exp.ini"), "taken": str(tmp_path / "taken")}
@@ -621,6 +629,32 @@ def test_failed_sweep_alone_is_exit_three(tmp_path, caplog):
     assert main(argv) == EXIT_CAPACITY
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and errors[0].startswith("vigilance 0.9: no free cluster")
+
+
+def test_each_session_is_extracted_once(tmp_path, monkeypatch):
+    # The sliding run trains on the per-window patterns `run` extracted, so
+    # a trace of several windows still extracts each session's pattern once.
+    found = {}
+
+    def recording(module, name, record):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            record(args, result)
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    extracted = []
+    recording(patterns_module, "extract_pattern", lambda args, _: extracted.append(args[0]))
+    recording(cli, "segment_sessions", lambda _, sessions: found.update(sessions=sessions))
+    recording(cli, "group_sessions_by_window", lambda _, windows: found.update(windows=windows))
+    text = SMALL_INI.replace("num_session_windows = 2", "num_session_windows = 4")
+    assert main(["--config", write_ini(tmp_path, text), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(found["windows"]) >= 3
+    assert len(extracted) == len(found["sessions"])
+    assert sorted(map(id, extracted)) == sorted(map(id, found["sessions"]))
 
 
 def test_dropped_patterns_are_reported_once_with_the_total(tmp_path, caplog):

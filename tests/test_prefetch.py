@@ -434,6 +434,13 @@ def test_sliding_run_equals_direct_trainings(seed, history_windows):
     config = Art1Config(base.size, 0.6, 3, 1 + seed % 2)
     with _Warnings() as warnings:
         results = sliding_run(windows, base, config, history_windows=history_windows)
+    # The per-window lists a caller extracted give the same results and warnings.
+    window_patterns = [patterns_for_sessions(window, base)[0] for window in windows]
+    with _Warnings() as given_warnings:
+        given = sliding_run(
+            windows, base, config, patterns=window_patterns, history_windows=history_windows
+        )
+    assert (given, given_warnings) == (results, warnings)
     assert [w for w, _ in results] == list(range(len(windows) - 1))
     expected_warnings = []
     for w, result in results:
@@ -451,3 +458,27 @@ def test_sliding_run_equals_direct_trainings(seed, history_windows):
         assert result == evaluate_plan(plan, windows[w + 1], membership)
         expected_warnings += _unconverged(f"window {w}", assignment)
     assert warnings == expected_warnings
+
+
+def test_sliding_run_needs_one_pattern_list_per_window():
+    windows, base = _windows_of([[("a", "v1")], [("a", "v1")], [("a", "v1")]])
+    patterns = [patterns_for_sessions(window, base)[0] for window in windows[:-1]]
+    with pytest.raises(ValueError, match="2 pattern lists for 3 windows"):
+        sliding_run(windows, base, Art1Config(base.size, 0.5, 10, 10), patterns=patterns)
+
+
+def test_sliding_run_trains_on_the_given_patterns():
+    # Every video is requested twice, so at threshold 3 no bit is set and
+    # every window's kept list is empty: nothing trains or scores.
+    windows, base = _windows_of([[("a", "v1")], [("a", "v1")], [("a", "v1")]])
+    config = Art1Config(base.size, 0.5, 10, 10)
+    assert [r.metrics for _, r in sliding_run(windows, base, config)] == [
+        (CacheMetrics(0, 1, 1, 1),),
+        (CacheMetrics(0, 1, 1, 1),),
+    ]
+    strict = [patterns_for_sessions(window, base, 3)[0] for window in windows]
+    assert strict == [[], [], []]
+    assert sliding_run(windows, base, config, patterns=strict) == [
+        (0, EvaluationResult((), ())),
+        (1, EvaluationResult((), ())),
+    ]
