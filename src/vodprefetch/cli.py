@@ -278,13 +278,14 @@ def _config_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
 
 
 def _parse_hour_key(key: str) -> list[int]:
+    # A ValueError, which _load_config_file reports with the file's name.
     match = re.fullmatch(r"(\d{1,2})(?:-(\d{1,2}))?", key.strip())
     if not match:
-        raise UsageError(f"bad schedule hour {key!r} (use H or H1-H2)")
+        raise ValueError(f"bad schedule hour {key!r} (use H or H1-H2)")
     first = int(match.group(1))
     last = int(match.group(2)) if match.group(2) else first
     if not (0 <= first <= 23 and 0 <= last <= 23 and first <= last):
-        raise UsageError(f"schedule hours {key!r} outside 0-23 or reversed")
+        raise ValueError(f"schedule hours {key!r} outside 0-23 or reversed")
     return list(range(first, last + 1))
 
 
@@ -308,7 +309,8 @@ def _load_config_file(path: str, parser: _Parser) -> dict:
 
     from .workload import WorkloadConfig
 
-    ini = configparser.ConfigParser()
+    # Values are read verbatim: '%' is an ordinary character.
+    ini = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             ini.read_file(handle)
@@ -317,6 +319,10 @@ def _load_config_file(path: str, parser: _Parser) -> dict:
     except configparser.Error as exc:
         raise UsageError(f"bad config {path}: {exc}") from exc
 
+    # configparser would copy a [DEFAULT] section's keys into every other
+    # section; an empty one is harmless.
+    if ini.defaults():
+        raise UsageError(f"bad config {path}: unknown section [DEFAULT]")
     for section in ini.sections():
         if section not in (*_SECTION_KEYS, "workload", "schedule"):
             raise UsageError(f"bad config {path}: unknown section [{section}]")

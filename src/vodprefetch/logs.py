@@ -15,9 +15,8 @@ DEFAULT_STATUS_FILTER = frozenset({200})
 class LogParseError(ValueError):
     """Malformed log line; remembers the 1-based line number."""
 
-    def __init__(self, message: str, line_number: int = 0) -> None:
-        prefix = f"line {line_number}: " if line_number else ""
-        super().__init__(prefix + message)
+    def __init__(self, message: str, line_number: int) -> None:
+        super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
 
 

@@ -85,7 +85,7 @@ def test_parse_hour_key_single_and_range():
 
 @pytest.mark.parametrize("key", ["24", "20-18", "7-25", "evening"])
 def test_parse_hour_key_rejects(key):
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         _parse_hour_key(key)
 
 
@@ -135,8 +135,13 @@ def test_unknown_workload_key_is_usage_error(tmp_path, capsys):
         (SMALL_INI + "\n[clustering]\nvigilence = 0.9\n", "unknown [clustering] key 'vigilence'"),
         (SMALL_INI.replace("seed = 3", "sed = 3"), "unknown [experiment] key 'sed'"),
         (SMALL_INI + "\n[clusterin]\nvigilance = 0.9\n", "unknown section [clusterin]"),
+        ("[DEFAULT]\nvigilance = 0.9\n", "unknown section [DEFAULT]"),
+        ("[DEFAULT]\nvigilance = 0.9\n[clustering]\nmax_epochs = 5\n",
+         "unknown section [DEFAULT]"),
+        ("[DEFAULT]\nvigilance = 0.9\n" + SMALL_INI, "unknown section [DEFAULT]"),
     ],
-    ids=["clustering-key", "experiment-key", "section"],
+    ids=["clustering-key", "experiment-key", "section", "default", "default-beside-clustering",
+         "default-beside-experiment"],
 )
 def test_unknown_config_key_or_section_is_usage_error(tmp_path, capsys, text, named):
     ini = write_ini(tmp_path, text)
@@ -453,6 +458,13 @@ def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags):
          "bad config {ini}: [schedule] '18' needs a list of numbers, got ''"),
         ("[schedule]\n18 = 4 x 1 1 1\n", [], EXIT_USAGE,
          "bad config {ini}: [schedule] '18' needs a list of numbers, got '4 x 1 1 1'"),
+        ("[schedule]\n24 = 1 1 1 1 1\n", [], EXIT_USAGE,
+         "bad config {ini}: schedule hours '24' outside 0-23 or reversed"),
+        ("[schedule]\nevening = 1 1 1 1 1\n", [], EXIT_USAGE,
+         "bad config {ini}: bad schedule hour 'evening' (use H or H1-H2)"),
+        ("[experiment]\nformat = ts%v\n", [], EXIT_USAGE, "unknown log format 'ts%v'"),
+        ("[experiment]\nformat = %(here)s\n", [], EXIT_USAGE,
+         "unknown log format '%(here)s'"),
         ("[clustering]\nsweep = a b\n", [], EXIT_USAGE,
          "bad config {ini}: [clustering] 'sweep' needs a list of numbers, got 'a b'"),
         ("[clustering]\nmax_epochs = many\n", [], EXIT_USAGE,
@@ -463,7 +475,8 @@ def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags):
     ],
     ids=["sweep-value", "session-idle", "freq-threshold", "history-windows",
          "max-clusters", "max-epochs", "log-format", "no-section-header", "schedule-empty",
-         "schedule-garbage", "config-sweep", "config-int", "config-bool", "out-is-a-file"],
+         "schedule-garbage", "schedule-hour-24", "schedule-hour-word", "percent",
+         "percent-reference", "config-sweep", "config-int", "config-bool", "out-is-a-file"],
 )
 def test_rejected_settings_exit_with_their_message(tmp_path, capsys, ini, flags, code, message):
     paths = {"ini": str(tmp_path / "exp.ini"), "taken": str(tmp_path / "taken")}

@@ -1,5 +1,5 @@
-"""Package surface: lazily resolved names, the immutable value types, README's
-example and the names the benchmark's tracer looks up."""
+"""Package surface: a root that loads no submodule, the immutable value types,
+README's example and the names the benchmark's tracer looks up."""
 
 from __future__ import annotations
 
@@ -15,24 +15,62 @@ from pathlib import Path
 
 import pytest
 
-import vodprefetch
 from vodprefetch.art1 import Art1Config, Assignment, init_network
 from vodprefetch.cli import SweepPoint
 from vodprefetch.logs import AccessEvent, Session
 from vodprefetch.patterns import BaseVector, PatternVector
 from vodprefetch.prefetch import CacheMetrics, EvaluationResult
-from vodprefetch.workload import WorkloadConfig, generate, write_trace_log
+from vodprefetch.workload import LogRecord, WorkloadConfig, generate, write_trace_log
 
 
-@pytest.mark.parametrize("name", vodprefetch.__all__)
-def test_every_exported_name_resolves(name):
-    assert getattr(vodprefetch, name) is not None
+def test_package_import_loads_no_submodule():
+    # Each name has one import path, its module's; the package root
+    # re-exports nothing, so importing it loads nothing else.
+    probe = (
+        "import sys, vodprefetch\n"
+        "print(sorted(m for m in sys.modules if m.startswith('vodprefetch.')))\n"
+        "print([n for n in dir(vodprefetch) if not n.startswith('_')])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n[]\n"
+
+
+# The names the package root used to re-export, by the module that defines
+# each: `from vodprefetch import X` is now `from vodprefetch.<module> import X`.
+EXPORTED_NAMES = {
+    "art1": ("Art1Config", "Art1Network", "Assignment", "CapacityError", "init_network",
+             "load_snapshot", "present_pattern", "render_snapshot", "save_snapshot", "train"),
+    "logs": ("AccessEvent", "LogParseError", "Session", "group_sessions_by_window",
+             "parse_log_file", "parse_log_lines", "preprocess", "read_events",
+             "segment_sessions"),
+    "patterns": ("BaseVector", "PatternVector", "UnknownVideoError", "build_base_vector",
+                 "extract_pattern", "patterns_for_sessions", "render_pattern_matrix",
+                 "write_pattern_matrix"),
+    "prefetch": ("CacheMetrics", "EvaluationResult", "build_plan", "evaluate_plan",
+                 "member_weighted_accuracy", "render_metrics_csv", "sliding_run",
+                 "write_metrics_csv"),
+    "workload": ("GroundTruth", "LogRecord", "WorkloadConfig", "ZipfSampler", "generate",
+                 "plant_ground_truth", "write_ground_truth", "write_trace_log"),
+}
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [pytest.param(module, name, id=name)
+     for module, names in EXPORTED_NAMES.items() for name in names],
+)
+def test_every_exported_name_resolves(module, name):
+    value = getattr(importlib.import_module(f"vodprefetch.{module}"), name)
+    assert value.__module__ == f"vodprefetch.{module}"
 
 
 def test_log_record_is_the_generators():
-    from vodprefetch import logs, workload
+    from vodprefetch import logs
 
-    assert vodprefetch.LogRecord is workload.LogRecord
     assert not hasattr(logs, "LogRecord")
 
 
@@ -120,13 +158,13 @@ def test_cache_metrics_error_text():
 )
 def test_log_record_error_texts(args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        vodprefetch.LogRecord(*args)
+        LogRecord(*args)
 
 
 def test_log_record_stays_a_dataclass_for_replace():
-    record = vodprefetch.LogRecord("c1", "u1", 1, "v1", 200, 10)
+    record = LogRecord("c1", "u1", 1, "v1", 200, 10)
     changed = dataclasses.replace(record, status_code=404)
-    assert changed == vodprefetch.LogRecord("c1", "u1", 1, "v1", 404, 10)
+    assert changed == LogRecord("c1", "u1", 1, "v1", 404, 10)
     with pytest.raises(dataclasses.FrozenInstanceError):
         changed.status_code = 200
 
