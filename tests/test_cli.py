@@ -430,17 +430,18 @@ def test_infeasible_spacing_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text, flags",
+    "text, flags, message",
     [
-        (SMALL_INI.replace("seed = 3", "seed = 3\nwindow_spacing = 0"), []),
-        (SMALL_INI, ["--window-spacing", "0"]),
+        (SMALL_INI.replace("seed = 3", "seed = 3\nwindow_spacing = 0"), [],
+         "bad config {ini}: window_spacing must be positive"),
+        (SMALL_INI, ["--window-spacing", "0"], "window_spacing must be positive"),
     ],
     ids=["config", "flag"],
 )
-def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags):
-    argv = ["--config", write_ini(tmp_path, text), "--out", str(tmp_path / "out"), *flags]
-    assert main(argv) == EXIT_USAGE
-    assert "error: window_spacing must be positive\n" in capsys.readouterr().err
+def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags, message):
+    ini = write_ini(tmp_path, text)
+    assert main(["--config", ini, "--out", str(tmp_path / "out"), *flags]) == EXIT_USAGE
+    assert f"error: {message.format(ini=ini)}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -452,7 +453,8 @@ def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags):
         (None, ["--history-windows", "-1"], EXIT_USAGE, "history_windows must be >= 0"),
         (None, ["--max-clusters", "-1"], EXIT_USAGE, "max_clusters must be >= 0"),
         (None, ["--max-epochs", "0"], EXIT_USAGE, "max_epochs must be >= 1"),
-        ("[experiment]\nformat = tsv\n", [], EXIT_USAGE, "unknown log format 'tsv'"),
+        ("[experiment]\nformat = tsv\n", [], EXIT_USAGE,
+         "bad config {ini}: unknown log format 'tsv'"),
         ("seed = 3\n", [], EXIT_USAGE, "bad config {ini}: File contains no section headers."),
         ("[schedule]\n18 =\n", [], EXIT_USAGE,
          "bad config {ini}: [schedule] '18' needs a list of numbers, got ''"),
@@ -462,21 +464,27 @@ def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags):
          "bad config {ini}: schedule hours '24' outside 0-23 or reversed"),
         ("[schedule]\nevening = 1 1 1 1 1\n", [], EXIT_USAGE,
          "bad config {ini}: bad schedule hour 'evening' (use H or H1-H2)"),
-        ("[experiment]\nformat = ts%v\n", [], EXIT_USAGE, "unknown log format 'ts%v'"),
+        ("[experiment]\nformat = ts%v\n", [], EXIT_USAGE,
+         "bad config {ini}: unknown log format 'ts%v'"),
         ("[experiment]\nformat = %(here)s\n", [], EXIT_USAGE,
-         "unknown log format '%(here)s'"),
+         "bad config {ini}: unknown log format '%(here)s'"),
         ("[clustering]\nsweep = a b\n", [], EXIT_USAGE,
          "bad config {ini}: [clustering] 'sweep' needs a list of numbers, got 'a b'"),
         ("[clustering]\nmax_epochs = many\n", [], EXIT_USAGE,
          "bad config {ini}: invalid literal for int() with base 10: 'many'"),
         ("[experiment]\ndump_patterns = maybe\n", [], EXIT_USAGE,
          "bad config {ini}: Not a boolean: maybe"),
+        ("[clustering]\nvigilance = 1.5\n", [], EXIT_USAGE,
+         "bad config {ini}: vigilance must be in [0, 1], got 1.5"),
+        ("[experiment]\nwindow_spacing = 0\n", ["--window-spacing", "86400"], EXIT_USAGE,
+         "bad config {ini}: window_spacing must be positive"),
         (None, ["--out", "{taken}"], EXIT_DATA, "[Errno 17] File exists: '{taken}'"),
     ],
     ids=["sweep-value", "session-idle", "freq-threshold", "history-windows",
          "max-clusters", "max-epochs", "log-format", "no-section-header", "schedule-empty",
          "schedule-garbage", "schedule-hour-24", "schedule-hour-word", "percent",
-         "percent-reference", "config-sweep", "config-int", "config-bool", "out-is-a-file"],
+         "percent-reference", "config-sweep", "config-int", "config-bool", "config-vigilance",
+         "config-overridden", "out-is-a-file"],
 )
 def test_rejected_settings_exit_with_their_message(tmp_path, capsys, ini, flags, code, message):
     paths = {"ini": str(tmp_path / "exp.ini"), "taken": str(tmp_path / "taken")}
@@ -585,12 +593,12 @@ def test_window_capacity_error_keeps_other_windows(tmp_path, caplog):
     rows = (out / "metrics.csv").read_text().splitlines()
     assert rows[0] == "window,cluster,members,prefetched,hits,accuracy"
     assert [row.split(",")[0] for row in rows[1:]] == ["0", "2"]
-    assert "window 1: prefetch evaluation ran out of clusters" in caplog.text
+    assert "window 1: no free cluster and none passed vigilance" in caplog.text
 
 
 def test_failing_run_logs_windows_then_sweep_in_order(tmp_path, caplog):
-    # Both training loops warn and fail through one helper; cli.run reports
-    # the sliding run's errors before the sweep runs, and the sweep's after.
+    # Both training loops warn and fail through one helper, which logs each
+    # training's outcome as it ends: the windows in order, then the sweep.
     out = tmp_path / "out"
     caplog.set_level(logging.INFO)
     code = main(
@@ -605,15 +613,15 @@ def test_failing_run_logs_windows_then_sweep_in_order(tmp_path, caplog):
     exhausted = "no free cluster and none passed vigilance (best: cluster 0, similarity 0.000000)"
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
         ("WARNING", "window 0: training did not converge in 1 epochs"),
+        ("ERROR", f"window 1: {exhausted}"),
         ("WARNING", "window 2: training did not converge in 1 epochs"),
-        ("ERROR", f"window 1: prefetch evaluation ran out of clusters: {exhausted}"),
         ("INFO", "member-weighted prefetch accuracy 1.0000 over 4 windows"),
         ("WARNING", "vigilance 0: training did not converge in 1 epochs"),
         ("ERROR", f"vigilance 0.9: {exhausted}"),
     ]
 
 
-def test_failed_window_alone_is_exit_three(tmp_path, monkeypatch, caplog):
+def test_failed_window_alone_is_exit_three(tmp_path, monkeypatch):
     # A window trains on a subset of the sweep's patterns, and no small trace
     # was found where it runs out of clusters and the sweep does not, so the
     # failure is put on one window's result.
@@ -627,8 +635,6 @@ def test_failed_window_alone_is_exit_three(tmp_path, monkeypatch, caplog):
     argv = ["--input", write_one_cluster_trace(tmp_path), "--out", str(tmp_path / "out"),
             "--vigilance", "0", "--sweep", "0"]
     assert main(argv) == EXIT_CAPACITY
-    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert errors == ["window 0: prefetch evaluation ran out of clusters: out of clusters"]
 
 
 def test_failed_sweep_alone_is_exit_three(tmp_path, caplog):

@@ -343,15 +343,16 @@ def test_cluster_left_by_its_clients_keeps_a_zero_member_row():
 # --- one training path: the sweep and the sliding run against direct trainings ---
 
 
-class _Warnings(logging.Handler):
-    """Collects the messages `prefetch` logs at WARNING while installed."""
+class _Logged(logging.Handler):
+    """Collects the (level, message) of what `prefetch` logs at WARNING and
+    above while installed."""
 
     def __init__(self):
         super().__init__(logging.WARNING)
         self.messages = []
 
     def emit(self, record):
-        self.messages.append(record.getMessage())
+        self.messages.append((record.levelname, record.getMessage()))
 
     def __enter__(self):
         logging.getLogger("vodprefetch.prefetch").addHandler(self)
@@ -370,10 +371,13 @@ def _direct_training(config, bits, force_assign):
         return None, None, str(exc)
 
 
-def _unconverged(label, assignment):
-    if assignment is None or assignment.converged:
+def _outcome(label, assignment, error):
+    """What the pipeline's training helper should log for one training."""
+    if error is not None:
+        return [("ERROR", f"{label}: {error}")]
+    if assignment.converged:
         return []
-    return [f"{label}: training did not converge in {assignment.epochs} epochs"]
+    return [("WARNING", f"{label}: training did not converge in {assignment.epochs} epochs")]
 
 
 pattern_sets = st.integers(1, 6).flatmap(
@@ -400,12 +404,12 @@ pattern_sets = st.integers(1, 6).flatmap(
 @settings(max_examples=200, deadline=None)
 def test_sweep_equals_direct_trainings(case, grid, max_clusters, max_epochs, force_assign):
     dim, patterns = case
-    with _Warnings() as warnings:
+    with _Logged() as logged:
         points = sweep_vigilance(
             patterns, tuple(grid), input_dim=dim, max_clusters=max_clusters,
             max_epochs=max_epochs, force_assign=force_assign,
         )
-    expected_warnings = []
+    expected = []
     for point, value in zip(points, grid, strict=True):
         config = Art1Config(dim, value, max_clusters, max_epochs)
         net, assignment, error = _direct_training(config, patterns, force_assign)
@@ -416,8 +420,8 @@ def test_sweep_equals_direct_trainings(case, grid, max_clusters, max_epochs, for
             assert point.clusters == net.active_clusters
         else:
             assert point.network is None and point.clusters is None
-        expected_warnings += _unconverged(f"vigilance {value:g}", assignment)
-    assert warnings == expected_warnings
+        expected += _outcome(f"vigilance {value:g}", assignment, error)
+    assert logged == expected
 
 
 @pytest.mark.parametrize("history_windows", [0, 1])
@@ -432,17 +436,17 @@ def test_sliding_run_equals_direct_trainings(seed, history_windows):
         ]
     )
     config = Art1Config(base.size, 0.6, 3, 1 + seed % 2)
-    with _Warnings() as warnings:
+    with _Logged() as logged:
         results = sliding_run(windows, base, config, history_windows=history_windows)
-    # The per-window lists a caller extracted give the same results and warnings.
+    # The per-window lists a caller extracted give the same results and log.
     window_patterns = [patterns_for_sessions(window, base)[0] for window in windows]
-    with _Warnings() as given_warnings:
+    with _Logged() as given_logged:
         given = sliding_run(
             windows, base, config, patterns=window_patterns, history_windows=history_windows
         )
-    assert (given, given_warnings) == (results, warnings)
+    assert (given, given_logged) == (results, logged)
     assert [w for w, _ in results] == list(range(len(windows) - 1))
-    expected_warnings = []
+    expected = []
     for w, result in results:
         history = windows[max(0, w + 1 - history_windows) if history_windows else 0 : w + 1]
         patterns = [p for window in history for p in patterns_for_sessions(window, base)[0]]
@@ -450,14 +454,14 @@ def test_sliding_run_equals_direct_trainings(seed, history_windows):
             assert result == EvaluationResult((), ())
             continue
         net, assignment, error = _direct_training(config, [p.bits for p in patterns], False)
+        expected += _outcome(f"window {w}", assignment, error)
         if error is not None:
             assert result == EvaluationResult((), (), error)
             continue
         membership = {p.client_id: c for p, c in zip(patterns, assignment.clusters)}
         plan = build_plan(net, assignment.clusters, base)
         assert result == evaluate_plan(plan, windows[w + 1], membership)
-        expected_warnings += _unconverged(f"window {w}", assignment)
-    assert warnings == expected_warnings
+    assert logged == expected
 
 
 def test_sliding_run_needs_one_pattern_list_per_window():
