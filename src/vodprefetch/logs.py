@@ -121,11 +121,36 @@ def read_events(
     """
     ids: dict[str, str] = {}
     intern = ids.setdefault
-    return [
-        AccessEvent(intern(client_id, client_id), timestamp, intern(video_id, video_id))
-        for client_id, _, timestamp, video_id, status_code, _ in _read_lines(lines, delimiter)
-        if status_code in status_filter
-    ]
+    if delimiter:
+        return [
+            AccessEvent(intern(client_id, client_id), timestamp, intern(video_id, video_id))
+            for client_id, _, timestamp, video_id, status_code, _ in _read_lines(lines, delimiter)
+            if status_code in status_filter
+        ]
+    # Whitespace logs take one flat loop. `line.split()` splits on the same
+    # whitespace that `line.strip()` removes and never yields an empty id,
+    # so a line passes here exactly when `_fields` accepts it; any other
+    # line goes to `_fields`, which raises its error.
+    events: list[AccessEvent] = []
+    for number, line in enumerate(lines, 1):
+        fields = line.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        try:
+            client_id, _, raw_ts, video_id, raw_status, raw_bytes = fields[:6]
+            timestamp = int(raw_ts)
+            status_code = int(raw_status)
+            bytes_sent = int(raw_bytes)
+        except ValueError:
+            pass
+        else:
+            if timestamp >= 0 and bytes_sent >= 0:
+                if status_code in status_filter:
+                    events.append(AccessEvent(intern(client_id, client_id), timestamp,
+                                              intern(video_id, video_id)))
+                continue
+        _fields(line.strip(), number, None)
+    return events
 
 
 def preprocess(

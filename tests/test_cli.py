@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import logging
 import os
@@ -406,6 +407,73 @@ def test_replay_csv_log(tmp_path):
     trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"
     assert main(["--input", str(trace), "--csv", "--out", str(out)]) == EXIT_OK
+
+
+# --- cyclic GC ---
+
+
+@pytest.fixture(params=[True, False], ids=["caller-gc-on", "caller-gc-off"])
+def caller_gc(request):
+    """Set the caller's GC state for one test; restore the original after."""
+    original = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if original else gc.disable)()
+
+
+def test_main_runs_with_the_gc_off(monkeypatch, caller_gc):
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda config: seen.append(gc.isenabled()) or EXIT_OK)
+    assert main([]) == EXIT_OK
+    assert seen == [False]
+    assert gc.isenabled() is caller_gc
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--config", "{ini}", "--out", "{out}"], EXIT_OK),
+        (["--nope"], EXIT_USAGE),
+        (["--input", "{missing}", "--out", "{out}"], EXIT_DATA),
+    ],
+    ids=["ok", "usage", "data"],
+)
+def test_main_restores_the_callers_gc_state(tmp_path, capsys, caller_gc, argv, code):
+    paths = {"ini": write_ini(tmp_path), "out": tmp_path / "out", "missing": tmp_path / "no.log"}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    assert gc.isenabled() is caller_gc
+
+
+def test_main_restores_the_gc_state_when_run_raises(monkeypatch, caller_gc):
+    def fail(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run", fail)
+    with pytest.raises(RuntimeError, match="boom"):
+        main([])
+    assert gc.isenabled() is caller_gc
+
+
+def test_main_restores_the_gc_state_after_help(capsys, caller_gc):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert gc.isenabled() is caller_gc
+
+
+def test_library_run_keeps_the_gc(tmp_path, monkeypatch):
+    seen = []
+    read_events = cli.read_events
+
+    def watched(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return read_events(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_events", watched)
+    config = cli._assemble_config(["--config", write_ini(tmp_path), "--out", str(tmp_path)])
+    assert gc.isenabled()
+    assert cli.run(config) == EXIT_OK
+    assert seen == [True]
 
 
 # --- exit codes ---

@@ -214,6 +214,69 @@ def test_read_events_equals_parse_then_preprocess(log, status_filter):
     assert (one_pass[1] is not None) == has_bad_line
 
 
+# Whitespace, line endings and number spellings that `logs()` never draws:
+# `str.split()` and `str.strip()` treat all of these separators as
+# whitespace, and `int` reads each spelling of a good number below.
+SPACES = (" ", "\t", "\x0b", "\x0c", "\x1c", "\xa0", "　")
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+spaces = st.sampled_from([a + b for a in SPACES for b in ("", *SPACES)])
+
+
+@st.composite
+def spelled(draw, values, allow_bad):
+    """One field for a number drawn from `values`, maybe malformed."""
+    if allow_bad:
+        kind = draw(st.sampled_from(["good"] * 6 + ["negative", "non-numeric", "too long"]))
+        if kind == "negative":
+            return "-" + str(draw(st.integers(1, 10**6)))
+        if kind == "non-numeric":
+            return draw(st.sampled_from(["x1", "7_", "1__0", "_7", "٧x", "--1"]))
+        if kind == "too long":
+            return "1" * 4301
+    digits = str(draw(values))
+    return draw(st.sampled_from([
+        digits, "+" + digits, "00" + digits, "0_" + digits, digits.translate(ARABIC_INDIC),
+    ]))
+
+
+@st.composite
+def whitespace_logs(draw):
+    """Lines of a whitespace log with odd separators, endings and numbers."""
+    allow_bad = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["record", "record", "record", "comment", "blank"]))
+        if kind == "blank":
+            lines.append(draw(spaces))
+            continue
+        fields = [
+            draw(ids),
+            draw(ids),
+            draw(spelled(st.integers(0, 10**6), allow_bad)),
+            draw(ids),
+            draw(spelled(st.sampled_from(STATUSES), allow_bad)),
+            draw(spelled(st.integers(0, 10**6), allow_bad)),
+        ] + draw(st.lists(ids, max_size=2))
+        if kind == "comment":
+            fields[0] = "#" + fields[0]
+        elif allow_bad and draw(st.integers(0, 3)) == 0:
+            fields = fields[: draw(st.integers(1, 5))]
+        line = "".join(draw(spaces) + field for field in fields)
+        if not draw(st.booleans()):
+            line = line.lstrip()
+        lines.append(line + draw(st.sampled_from(["", " ", "\x0c"])))
+    ending = draw(st.sampled_from(["", "\n", "\r\n"]))
+    return [line + ending for line in lines]
+
+
+@given(whitespace_logs(), st.frozensets(st.sampled_from(STATUSES)))
+@settings(max_examples=200, deadline=None)
+def test_whitespace_read_events_equals_reference_on_odd_input(lines, status_filter):
+    one_pass = outcome(lambda: read_events(lines, status_filter=status_filter))
+    two_pass = outcome(lambda: preprocess(parse_log_lines(lines), status_filter))
+    assert one_pass == two_pass
+
+
 def test_read_events_rejects_bad_line_whose_status_is_filtered():
     lines = ["c1 u1 10 v1 200 5", "c1 u1 20 v2 404 -5"]
     with pytest.raises(LogParseError) as err:
