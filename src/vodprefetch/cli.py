@@ -101,13 +101,7 @@ def run(config: argparse.Namespace) -> int:
 
     # Generated mode writes its trace and then reads it back like a replay.
     if config.source == "generated":
-        from .workload import generate, write_ground_truth, write_trace_log
-
-        records, truth = generate(config.workload)
-        source, delimiter = os.path.join(out, "trace.log"), None
-        write_trace_log(records, source)
-        write_ground_truth(truth, os.path.join(out, "ground_truth.csv"))
-        log.info("generated %d records for %d clients", len(records), config.workload.num_clients)
+        source, delimiter = _write_generated_trace(config.workload, out), None
     else:
         source, delimiter = config.source, "," if config.log_format == "csv" else None
     try:
@@ -192,6 +186,22 @@ def run(config: argparse.Namespace) -> int:
 
     outcomes = [result for _, result in results] + points
     return EXIT_CAPACITY if any(item.error is not None for item in outcomes) else EXIT_OK
+
+
+def _write_generated_trace(workload, out: str) -> str:
+    """Write the workload's trace.log and ground_truth.csv into `out`.
+
+    Returns the trace's path. The generated records and ground truth are
+    freed on return, before the run reads the trace back.
+    """
+    from .workload import generate, write_ground_truth, write_trace_log
+
+    records, truth = generate(workload)
+    path = os.path.join(out, "trace.log")
+    write_trace_log(records, path)
+    write_ground_truth(truth, os.path.join(out, "ground_truth.csv"))
+    log.info("generated %d records for %d clients", len(records), workload.num_clients)
+    return path
 
 
 def _remove_stale(path: str) -> None:

@@ -129,27 +129,33 @@ def read_events(
         ]
     # Whitespace logs take one flat loop. `line.split()` splits on the same
     # whitespace that `line.strip()` removes and never yields an empty id,
-    # so a line passes here exactly when `_fields` accepts it; any other
-    # line goes to `_fields`, which raises its error.
+    # so a clean six-field line passes here exactly when `_fields` accepts
+    # it. `spelled` holds the filter's int codes as `str` spells them
+    # (`int(s) == code` for each), so a status found there needs no `int`.
+    # Blank and comment lines are skipped after it; longer and malformed
+    # lines go to `_fields`, which keeps the line or raises its error.
+    spelled = {str(code) for code in status_filter if type(code) is int}
     events: list[AccessEvent] = []
     for number, line in enumerate(lines, 1):
         fields = line.split()
-        if not fields or fields[0][0] == "#":
-            continue
         try:
-            client_id, _, raw_ts, video_id, raw_status, raw_bytes = fields[:6]
-            timestamp = int(raw_ts)
-            status_code = int(raw_status)
-            bytes_sent = int(raw_bytes)
+            client_id, _, raw_ts, video_id, raw_status, raw_bytes = fields
+            if client_id[0] != "#":
+                timestamp = int(raw_ts)
+                if timestamp >= 0 and int(raw_bytes) >= 0:
+                    if raw_status in spelled or int(raw_status) in status_filter:
+                        # AccessEvent(...) without the Python frame of its __new__.
+                        events.append(tuple.__new__(AccessEvent, (
+                            intern(client_id, client_id), timestamp, intern(video_id, video_id))))
+                    continue
         except ValueError:
             pass
-        else:
-            if timestamp >= 0 and bytes_sent >= 0:
-                if status_code in status_filter:
-                    events.append(AccessEvent(intern(client_id, client_id), timestamp,
-                                              intern(video_id, video_id)))
-                continue
-        _fields(line.strip(), number, None)
+        if not fields or fields[0][0] == "#":
+            continue
+        client_id, _, timestamp, video_id, status_code, _ = _fields(line.strip(), number, None)
+        if status_code in status_filter:
+            events.append(AccessEvent(intern(client_id, client_id), timestamp,
+                                      intern(video_id, video_id)))
     return events
 
 

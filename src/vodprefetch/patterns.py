@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fileio import atomic_write
@@ -61,7 +62,7 @@ def extract_pattern(
     """Set bit i when URL i was requested at least freq_threshold times."""
     if freq_threshold < 1:
         raise ValueError("freq_threshold must be >= 1")
-    counts = Counter(event.video_id for event in session.events)
+    counts = Counter(map(attrgetter("video_id"), session.events))
     bits = [0] * base.size
     for video_id, count in counts.items():
         index = base.index_of.get(video_id)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .art1 import DEFAULT_MAX_EPOCHS, Art1Config, Art1Network, Assignment, CapacityError
@@ -122,9 +123,7 @@ def evaluate_plan(
         if cluster is None:
             unclustered.add(session.client_id)
             continue
-        bucket = requested.setdefault(cluster, set())
-        for event in session.events:
-            bucket.add(event.video_id)
+        requested.setdefault(cluster, set()).update(map(attrgetter("video_id"), session.events))
     member_counts = Counter(membership.values())
     metrics = []
     for cluster in sorted(plan):

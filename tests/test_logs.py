@@ -277,6 +277,48 @@ def test_whitespace_read_events_equals_reference_on_odd_input(lines, status_filt
     assert one_pass == two_pass
 
 
+# One case per branch of the whitespace reader, each against the reference.
+
+
+def read_both(lines, status_filter=frozenset({200})):
+    """read_events's outcome, after checking it equals the two-step reference's."""
+    one_pass = outcome(lambda: read_events(lines, status_filter=status_filter))
+    assert one_pass == outcome(lambda: preprocess(parse_log_lines(lines), status_filter))
+    return one_pass
+
+
+def test_read_events_skips_six_token_comment():
+    lines = ["# u1 10 v1 200 5", "c1 u1 20 v2 200 5"]
+    assert read_both(lines) == ([AccessEvent("c1", 20, "v2")], None)
+
+
+def test_read_events_keeps_seven_field_line():
+    lines = ["c1 u1 10 v1 200 5 extra", "c1 u1 20 v2 200 5"]
+    assert read_both(lines) == ([AccessEvent("c1", 10, "v1"), AccessEvent("c1", 20, "v2")], None)
+
+
+@pytest.mark.parametrize("status", ["0200", "+200"])
+def test_read_events_keeps_other_spellings_of_a_passing_status(status):
+    assert read_both([f"c1 u1 10 v1 {status} 5"]) == ([AccessEvent("c1", 10, "v1")], None)
+
+
+def test_read_events_filters_other_spellings_by_value():
+    lines = ["c1 u1 10 v1 0404 5"]
+    assert read_both(lines) == ([], None)
+    assert read_both(lines, frozenset({200, 404})) == ([AccessEvent("c1", 10, "v1")], None)
+
+
+def test_read_events_drops_200_outside_the_filter():
+    assert read_both(["c1 u1 10 v1 200 5"], frozenset({404})) == ([], None)
+
+
+def test_read_events_rejects_4301_digit_bytes():
+    fields = ["c1", "u1", "10", "v1", "200", "1" * 4301]
+    events, error = read_both([" ".join(fields)])
+    assert events is None
+    assert error == (f"line 1: non-numeric timestamp, status or bytes in {fields!r}", 1)
+
+
 def test_read_events_rejects_bad_line_whose_status_is_filtered():
     lines = ["c1 u1 10 v1 200 5", "c1 u1 20 v2 404 -5"]
     with pytest.raises(LogParseError) as err:
