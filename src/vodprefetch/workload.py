@@ -9,9 +9,11 @@ returned alongside the records so recovery can be scored.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .fileio import atomic_write
@@ -72,8 +74,10 @@ class WorkloadConfig:
             )
         if not 0.0 <= self.in_group_prob <= 1.0:
             raise ValueError(f"in_group_prob must be in [0, 1], got {self.in_group_prob}")
-        if self.zipf_exponent <= 0.0:
-            raise ValueError(f"zipf_exponent must be positive, got {self.zipf_exponent}")
+        if not (self.zipf_exponent > 0.0 and math.isfinite(self.zipf_exponent)):
+            raise ValueError(
+                f"zipf_exponent must be positive and finite, got {self.zipf_exponent}"
+            )
         if not 1 <= self.requests_min <= self.requests_max:
             raise ValueError(
                 f"bad request range [{self.requests_min}, {self.requests_max}]"
@@ -92,8 +96,8 @@ class WorkloadConfig:
                     f"schedule for hour {hour} has {len(multipliers)} multipliers, "
                     f"expected {self.num_groups}"
                 )
-            if any(m < 0 for m in multipliers):
-                raise ValueError(f"negative multiplier in schedule hour {hour}")
+            if not all(m >= 0 and math.isfinite(m) for m in multipliers):
+                raise ValueError(f"schedule hour {hour} has a negative or non-finite multiplier")
 
 
 @dataclass(frozen=True)
@@ -102,33 +106,6 @@ class GroundTruth:
 
     group_of: Mapping[str, int]
     catalogs: Mapping[int, tuple[str, ...]]
-
-
-class ZipfSampler:
-    """Inverse-CDF sampler over ranks 0..n-1 with weight (rank+1)**-exponent."""
-
-    def __init__(self, num_items: int, exponent: float) -> None:
-        if num_items < 1:
-            raise ValueError("num_items must be >= 1")
-        if exponent <= 0.0:
-            raise ValueError("exponent must be positive")
-        self.num_items = num_items
-        self.exponent = exponent
-        cumulative = []
-        total = 0.0
-        for rank in range(1, num_items + 1):
-            total += rank ** -exponent
-            cumulative.append(total)
-        self._cumulative = cumulative
-        self._total = total
-
-    def weight(self, rank: int) -> float:
-        """Normalized probability of the 0-based rank."""
-        return (rank + 1) ** -self.exponent / self._total
-
-    def sample(self, rng: random.Random) -> int:
-        index = bisect_right(self._cumulative, rng.random() * self._total)
-        return min(index, self.num_items - 1)
 
 
 def validate_feasibility(config: WorkloadConfig) -> None:
@@ -178,19 +155,11 @@ def _pick_other_group(
 ) -> int:
     others = [g for g in range(config.num_groups) if g != own]
     multipliers = config.category_schedule.get(hour)
-    if multipliers is None:
-        return others[rng.randrange(len(others))]
-    weights = [multipliers[g] for g in others]
-    total = sum(weights)
-    if total <= 0.0:
-        return others[rng.randrange(len(others))]
-    draw = rng.random() * total
-    acc = 0.0
-    for group, weight in zip(others, weights):
-        acc += weight
-        if draw < acc:
-            return group
-    return others[-1]
+    if multipliers is not None:
+        weights = [multipliers[g] for g in others]
+        if sum(weights) > 0.0:
+            return rng.choices(others, weights)[0]
+    return rng.choice(others)
 
 
 def generate(config: WorkloadConfig) -> tuple[list[LogRecord], GroundTruth]:
@@ -199,8 +168,11 @@ def generate(config: WorkloadConfig) -> tuple[list[LogRecord], GroundTruth]:
     Identical configs (seed included) produce identical records.
     """
     truth = plant_ground_truth(config)
-    samplers = {
-        group: ZipfSampler(len(catalog), config.zipf_exponent)
+    # One cumulative Zipf table per catalog (rank r weighs r ** -zipf_exponent),
+    # searched with the draw random.choices(catalog, cum_weights=cum) makes;
+    # calling choices itself per request makes generation about 25% slower.
+    cumulative = {
+        group: list(accumulate(r ** -config.zipf_exponent for r in range(1, len(catalog) + 1)))
         for group, catalog in truth.catalogs.items()
     }
     rng = random.Random(config.seed)
@@ -217,7 +189,10 @@ def generate(config: WorkloadConfig) -> tuple[list[LogRecord], GroundTruth]:
                 group = own
                 if config.num_groups > 1 and rng.random() >= config.in_group_prob:
                     group = _pick_other_group(rng, own, config, (stamp // 3600) % 24)
-                video = truth.catalogs[group][samplers[group].sample(rng)]
+                cum = cumulative[group]
+                video = truth.catalogs[group][
+                    bisect_right(cum, rng.random() * cum[-1], 0, len(cum) - 1)
+                ]
                 size = rng.randrange(*BYTES_RANGE)
                 records.append(
                     LogRecord(client, "u" + client[1:], stamp, video, 200, size)
@@ -227,16 +202,12 @@ def generate(config: WorkloadConfig) -> tuple[list[LogRecord], GroundTruth]:
     return records, truth
 
 
-def format_log_record(record: LogRecord) -> str:
-    return (
-        f"{record.client_id} {record.user_id} {record.timestamp} "
-        f"{record.video_id} {record.status_code} {record.bytes_sent}"
-    )
-
-
 def render_trace_log(records: Iterable[LogRecord]) -> str:
     lines = [LOG_HEADER]
-    lines.extend(format_log_record(record) for record in records)
+    lines.extend(
+        f"{r.client_id} {r.user_id} {r.timestamp} {r.video_id} {r.status_code} {r.bytes_sent}"
+        for r in records
+    )
     return "\n".join(lines) + "\n"
 
 

@@ -53,8 +53,8 @@ EXPORTED_NAMES = {
     "prefetch": ("CacheMetrics", "EvaluationResult", "build_plan", "evaluate_plan",
                  "member_weighted_accuracy", "render_metrics_csv", "sliding_run",
                  "write_metrics_csv"),
-    "workload": ("GroundTruth", "LogRecord", "WorkloadConfig", "ZipfSampler", "generate",
-                 "plant_ground_truth", "write_ground_truth", "write_trace_log"),
+    "workload": ("GroundTruth", "LogRecord", "WorkloadConfig", "generate", "plant_ground_truth",
+                 "write_ground_truth", "write_trace_log"),
 }
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -11,7 +12,6 @@ from vodprefetch.workload import (
     MAX_STEP_SECONDS,
     GroundTruth,
     WorkloadConfig,
-    ZipfSampler,
     generate,
     plant_ground_truth,
     render_ground_truth,
@@ -55,6 +55,10 @@ def small_config(**overrides):
         {"category_schedule": {24: (1.0, 1.0, 1.0)}},
         {"category_schedule": {0: (1.0, 1.0)}},
         {"category_schedule": {0: (1.0, -1.0, 1.0)}},
+        {"zipf_exponent": math.nan},
+        {"zipf_exponent": math.inf},
+        {"category_schedule": {0: (1.0, math.nan, 1.0)}},
+        {"category_schedule": {0: (1.0, math.inf, 1.0)}},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -120,28 +124,7 @@ def test_plant_shared_pool_leads_every_catalog():
     assert len(exclusive) == len(set(exclusive)) == 10
 
 
-# --- zipf sampler ---
-
-
-def test_zipf_weights_normalized():
-    sampler = ZipfSampler(5, 1.0)
-    assert sum(sampler.weight(r) for r in range(5)) == pytest.approx(1.0)
-    assert sampler.weight(0) > sampler.weight(4)
-
-
-def test_zipf_sample_stays_in_range():
-    sampler = ZipfSampler(7, 0.5)
-    rng = random.Random(3)
-    draws = [sampler.sample(rng) for _ in range(2000)]
-    assert min(draws) >= 0 and max(draws) <= 6
-    assert len(set(draws)) == 7
-
-
-def test_zipf_rejects_bad_args():
-    with pytest.raises(ValueError):
-        ZipfSampler(0, 1.0)
-    with pytest.raises(ValueError):
-        ZipfSampler(5, 0.0)
+# --- zipf popularity ---
 
 
 def _fit_slope(counts):
@@ -323,6 +306,38 @@ def test_default_config_counts_fall_in_bracket():
 def test_render_ground_truth_golden():
     truth = GroundTruth({"c1": 0, "c0": 1}, {0: ("v0",), 1: ("v1",)})
     assert render_ground_truth(truth) == "client_id,group_id\nc0,1\nc1,0\n"
+
+
+# sha256 of render_trace_log(generate(SCHEDULED_CONFIG)). The default run's
+# golden (test_cli.DEFAULT_RUN_SHA256) has no schedule and no shared pool;
+# this trace takes every cross-group branch: weighted rows (hours 0-11,
+# weights exact in binary so partial sums are exact), zero rows (12-17), a
+# row whose other groups all weigh zero (18-20, for group 2) and no row.
+SCHEDULED_CONFIG = WorkloadConfig(
+    num_clients=12,
+    num_videos=30,
+    num_groups=3,
+    in_group_prob=0.6,
+    zipf_exponent=0.9,
+    requests_min=20,
+    requests_max=30,
+    num_session_windows=4,
+    window_spacing=86400,
+    shared_pool=3,
+    category_schedule={
+        **{hour: (4.0, 1.0, 0.5) for hour in range(0, 12)},
+        **{hour: (0.0, 0.0, 0.0) for hour in range(12, 18)},
+        **{hour: (0.0, 0.0, 0.5) for hour in range(18, 21)},
+    },
+    seed=5,
+)
+SCHEDULED_TRACE_SHA256 = "ae2417febfdf80d5cfac635b754fb824fd7eb75c326667cf93ee5607f438099b"
+
+
+def test_scheduled_trace_matches_golden_digest():
+    records, _ = generate(SCHEDULED_CONFIG)
+    digest = hashlib.sha256(render_trace_log(records).encode("utf-8")).hexdigest()
+    assert digest == SCHEDULED_TRACE_SHA256
 
 
 def test_trace_log_round_trips_through_parser():
