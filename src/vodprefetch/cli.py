@@ -97,7 +97,10 @@ def run(config: argparse.Namespace) -> int:
     generator's WorkloadConfig, which generated mode always has.
     """
     out = config.out_dir or os.curdir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {out}: {exc}") from exc
 
     # Generated mode writes its trace and then reads it back like a replay.
     if config.source == "generated":

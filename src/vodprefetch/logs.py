@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from .workload import LogRecord
@@ -84,22 +84,16 @@ def _fields(
     return client_id, user_id, timestamp, video_id, status_code, bytes_sent
 
 
-def _read_lines(
-    lines: Iterable[str], delimiter: str | None
-) -> Iterator[tuple[str, str, int, str, int, int]]:
-    """Validated fields of every line; blank lines and '#' comment lines are skipped."""
-    for number, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield _fields(stripped, number, delimiter)
-
-
 def parse_log_lines(lines: Iterable[str], *, delimiter: str | None = None) -> list[LogRecord]:
     """Parse a whole log; blank lines and '#' comment lines are skipped."""
     from .workload import LogRecord
 
-    return [LogRecord(*fields) for fields in _read_lines(lines, delimiter)]
+    records = []
+    for number, line in enumerate(lines, 1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            records.append(LogRecord(*_fields(stripped, number, delimiter)))
+    return records
 
 
 def parse_log_file(path, *, delimiter: str | None = None) -> list[LogRecord]:
@@ -121,38 +115,34 @@ def read_events(
     """
     ids: dict[str, str] = {}
     intern = ids.setdefault
-    if delimiter:
-        return [
-            AccessEvent(intern(client_id, client_id), timestamp, intern(video_id, video_id))
-            for client_id, _, timestamp, video_id, status_code, _ in _read_lines(lines, delimiter)
-            if status_code in status_filter
-        ]
-    # Whitespace logs take one flat loop. `line.split()` splits on the same
-    # whitespace that `line.strip()` removes and never yields an empty id,
-    # so a clean six-field line passes here exactly when `_fields` accepts
-    # it. `spelled` holds the filter's int codes as `str` spells them
-    # (`int(s) == code` for each), so a status found there needs no `int`.
-    # Blank and comment lines are skipped after it; longer and malformed
-    # lines go to `_fields`, which keeps the line or raises its error.
+    # Whitespace lines first try a fast path. `line.split()` splits on the
+    # same whitespace that `line.strip()` removes and never yields an empty
+    # id, so a clean six-field line passes here exactly when `_fields`
+    # accepts it. `spelled` holds the filter's int codes as `str` spells
+    # them (`int(s) == code` for each), so a status found there needs no
+    # `int`. CSV lines and every line the fast path leaves (blank, comment,
+    # longer and malformed lines) take the shared step below it, which
+    # skips blank and comment lines and keeps the line or raises its error.
     spelled = {str(code) for code in status_filter if type(code) is int}
     events: list[AccessEvent] = []
     for number, line in enumerate(lines, 1):
-        fields = line.split()
-        try:
-            client_id, _, raw_ts, video_id, raw_status, raw_bytes = fields
-            if client_id[0] != "#":
-                timestamp = int(raw_ts)
-                if timestamp >= 0 and int(raw_bytes) >= 0:
-                    if raw_status in spelled or int(raw_status) in status_filter:
-                        # AccessEvent(...) without the Python frame of its __new__.
-                        events.append(tuple.__new__(AccessEvent, (
-                            intern(client_id, client_id), timestamp, intern(video_id, video_id))))
-                    continue
-        except ValueError:
-            pass
-        if not fields or fields[0][0] == "#":
+        if not delimiter:
+            try:
+                client_id, _, raw_ts, video_id, raw_status, raw_bytes = line.split()
+                if client_id[0] != "#":
+                    timestamp = int(raw_ts)
+                    if timestamp >= 0 and int(raw_bytes) >= 0:
+                        if raw_status in spelled or int(raw_status) in status_filter:
+                            # AccessEvent(...) without the Python frame of its __new__.
+                            events.append(tuple.__new__(AccessEvent, (intern(client_id, client_id),
+                                                        timestamp, intern(video_id, video_id))))
+                        continue
+            except ValueError:
+                pass
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
             continue
-        client_id, _, timestamp, video_id, status_code, _ = _fields(line.strip(), number, None)
+        client_id, _, timestamp, video_id, status_code, _ = _fields(stripped, number, delimiter)
         if status_code in status_filter:
             events.append(AccessEvent(intern(client_id, client_id), timestamp,
                                       intern(video_id, video_id)))

@@ -546,7 +546,10 @@ def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags, mess
          "bad config {ini}: vigilance must be in [0, 1], got 1.5"),
         ("[experiment]\nwindow_spacing = 0\n", ["--window-spacing", "86400"], EXIT_USAGE,
          "bad config {ini}: window_spacing must be positive"),
-        (None, ["--out", "{taken}"], EXIT_DATA, "[Errno 17] File exists: '{taken}'"),
+        (None, ["--out", "{taken}"], EXIT_USAGE,
+         "cannot create output directory {taken}: [Errno 17] File exists: '{taken}'"),
+        (None, ["--out", "{taken}/sub"], EXIT_USAGE,
+         "cannot create output directory {taken}/sub: [Errno 20] Not a directory: '{taken}/sub'"),
         ("[workload]\nzipf_exponent = nan\n", [], EXIT_USAGE,
          "bad config {ini}: zipf_exponent must be positive and finite, got nan"),
         ("[schedule]\n18 = 4 inf 1 1 1\n", [], EXIT_USAGE,
@@ -556,7 +559,8 @@ def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags, mess
          "max-clusters", "max-epochs", "log-format", "no-section-header", "schedule-empty",
          "schedule-garbage", "schedule-hour-24", "schedule-hour-word", "percent",
          "percent-reference", "config-sweep", "config-int", "config-bool", "config-vigilance",
-         "config-overridden", "out-is-a-file", "config-zipf-nan", "schedule-inf"],
+         "config-overridden", "out-is-a-file", "out-under-a-file", "config-zipf-nan",
+         "schedule-inf"],
 )
 def test_rejected_settings_exit_with_their_message(tmp_path, capsys, ini, flags, code, message):
     paths = {"ini": str(tmp_path / "exp.ini"), "taken": str(tmp_path / "taken")}

@@ -29,3 +29,11 @@ def test_failed_rename_leaves_no_temp_file(tmp_path):
         atomic_write(target, "text")
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
     assert list(target.iterdir()) == []
+
+
+def test_write_into_missing_directory_reraises_and_leaves_no_file(tmp_path):
+    # The temp file is never created, so its removal fails too; the open's
+    # error is the one raised.
+    with pytest.raises(FileNotFoundError):
+        atomic_write(tmp_path / "missing" / "x.csv", "text")
+    assert list(tmp_path.iterdir()) == []

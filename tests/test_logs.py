@@ -277,14 +277,42 @@ def test_whitespace_read_events_equals_reference_on_odd_input(lines, status_filt
     assert one_pass == two_pass
 
 
-# One case per branch of the whitespace reader, each against the reference.
+# One case per branch of the reader, each against the reference.
 
 
-def read_both(lines, status_filter=frozenset({200})):
+def read_both(lines, status_filter=frozenset({200}), delimiter=None):
     """read_events's outcome, after checking it equals the two-step reference's."""
-    one_pass = outcome(lambda: read_events(lines, status_filter=status_filter))
-    assert one_pass == outcome(lambda: preprocess(parse_log_lines(lines), status_filter))
+    one_pass = outcome(
+        lambda: read_events(lines, delimiter=delimiter, status_filter=status_filter)
+    )
+    two_pass = outcome(
+        lambda: preprocess(parse_log_lines(lines, delimiter=delimiter), status_filter)
+    )
+    assert one_pass == two_pass
     return one_pass
+
+
+NON_EMPTY = "client_id and video_id must be non-empty"
+
+
+@pytest.mark.parametrize(
+    "lines, expected",
+    [
+        (["   ", "c1,u1,10,v1,200,5", "c1,u1,20,v2,404,5"],
+         ([AccessEvent("c1", 10, "v1")], None)),
+        (["  # c1,u1,10,v1,200,5", "c1,u1,20,v2,200,5"], ([AccessEvent("c1", 20, "v2")], None)),
+        (["#,client_id,user_id,timestamp,video_id,status_code,bytes_sent", "c1,u1,10,v1,200,5"],
+         ([AccessEvent("c1", 10, "v1")], None)),
+        (["c1 , u1 ,10, v1 , 200 ,5 "], ([AccessEvent("c1", 10, "v1")], None)),
+        (["c1,u1,10,v1,200,5,extra"], ([AccessEvent("c1", 10, "v1")], None)),
+        (["c1,u1,10,v1,200,5", ",u1,20,v2,200,5"], (None, (f"line 2: {NON_EMPTY}", 2))),
+        (["c1,u1,10, \t,200,5"], (None, (f"line 1: {NON_EMPTY}", 1))),
+    ],
+    ids=["blank", "indented-comment", "header", "spaced-commas", "seven-fields",
+         "empty-client", "blank-video"],
+)
+def test_csv_read_events(lines, expected):
+    assert read_both(lines, delimiter=",") == expected
 
 
 def test_read_events_skips_six_token_comment():

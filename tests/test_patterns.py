@@ -5,6 +5,7 @@ import random
 import pytest
 
 from vodprefetch.patterns import (
+    BaseVector,
     UnknownVideoError,
     build_base_vector,
     extract_pattern,
@@ -34,6 +35,11 @@ def test_base_vector_stable_under_shuffle():
 def test_base_vector_empty_corpus():
     with pytest.raises(ValueError):
         build_base_vector([])
+
+
+def test_base_vector_rejects_duplicate_urls():
+    with pytest.raises(ValueError, match="base vector URLs must be distinct"):
+        BaseVector.from_urls(["v1", "v2", "v1"])
 
 
 def test_extract_pattern_frequency_threshold():

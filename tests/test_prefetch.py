@@ -424,6 +424,11 @@ def test_sweep_equals_direct_trainings(case, grid, max_clusters, max_epochs, for
     assert logged == expected
 
 
+def test_sweep_rejects_empty_grid():
+    with pytest.raises(ValueError, match="sweep grid must not be empty"):
+        sweep_vigilance([(1, 0)], (), input_dim=2, max_clusters=1)
+
+
 @pytest.mark.parametrize("history_windows", [0, 1])
 @pytest.mark.parametrize("seed", range(8))
 def test_sliding_run_equals_direct_trainings(seed, history_windows):
