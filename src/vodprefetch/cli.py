@@ -17,16 +17,17 @@ import sys
 # The benchmark's tracer wraps the pipeline's calls by their names in this
 # module, so `run` calls each by its imported name (the sliding span wraps
 # `sliding_run`); parse_log_file, preprocess and train are imported for the
-# tracer alone.
+# tracer alone. `run` streams the log through `iter_events` into
+# `segment_sessions`, so reading the log is timed in the segment span.
 from .art1 import DEFAULT_MAX_EPOCHS, Art1Config, save_snapshot, train
 from .fileio import atomic_write
 from .logs import (
     DEFAULT_MAX_IDLE_SECONDS,
     LogParseError,
     group_sessions_by_window,
+    iter_events,
     parse_log_file,
     preprocess,
-    read_events,
     segment_sessions,
 )
 from .patterns import (
@@ -107,16 +108,18 @@ def run(config: argparse.Namespace) -> int:
         source, delimiter = _write_generated_trace(config.workload, out), None
     else:
         source, delimiter = config.source, "," if config.log_format == "csv" else None
+    # The log streams into the sessions: no list of its events is built.
+    # utf-8-sig drops a leading byte-order mark.
     try:
-        with open(source, "r", encoding="utf-8") as handle:
-            events = read_events(handle, delimiter=delimiter)
+        with open(source, "r", encoding="utf-8-sig") as handle:
+            events = iter_events(handle, delimiter=delimiter)
+            sessions = segment_sessions(events, config.maximum_idle_time)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {source}: {exc}") from exc
 
-    if not events:
+    if not sessions:
         raise DataError("no usable events after status filtering")
-    base = build_base_vector(events)
-    sessions = segment_sessions(events, config.maximum_idle_time)
+    base = build_base_vector(sessions)
     windows = group_sessions_by_window(sessions, config.window_spacing)
 
     # Each session's pattern is extracted here once; the sliding run trains
@@ -314,7 +317,7 @@ def _load_config_file(path: str, parser: _Parser) -> dict:
     # Values are read verbatim: '%' is an ordinary character.
     ini = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             ini.read_file(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc

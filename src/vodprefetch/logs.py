@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from itertools import compress, count, repeat
+from operator import attrgetter, gt, itemgetter, sub
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .workload import LogRecord
@@ -37,24 +38,35 @@ class AccessEvent(NamedTuple):
     timestamp: int
     video_id: str
 
+    @property
+    def videos(self) -> tuple[str]:
+        """The event's video, read the way a Session's videos are."""
+        return (self.video_id,)
+
 
 class Session(NamedTuple):
     """A client's maximal run of events with bounded think time.
 
-    `events` is non-empty and in time order; `start` and `end` are the
-    timestamps of its first and last event.
+    `timestamps` and `videos` are the columns of its events: non-empty,
+    of equal length and in time order. `start` and `end` are its first
+    and last timestamps; `events` builds the `AccessEvent`s on each read.
     """
 
     client_id: str
-    events: tuple[AccessEvent, ...]
+    timestamps: tuple[int, ...]
+    videos: tuple[str, ...]
 
     @property
     def start(self) -> int:
-        return self.events[0].timestamp
+        return self.timestamps[0]
 
     @property
     def end(self) -> int:
-        return self.events[-1].timestamp
+        return self.timestamps[-1]
+
+    @property
+    def events(self) -> tuple[AccessEvent, ...]:
+        return tuple(map(AccessEvent, repeat(self.client_id), self.timestamps, self.videos))
 
 
 def _fields(
@@ -97,21 +109,24 @@ def parse_log_lines(lines: Iterable[str], *, delimiter: str | None = None) -> li
 
 
 def parse_log_file(path, *, delimiter: str | None = None) -> list[LogRecord]:
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # stick to the first field of the first line.
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_log_lines(handle, delimiter=delimiter)
 
 
-def read_events(
+def iter_events(
     lines: Iterable[str],
     *,
     delimiter: str | None = None,
     status_filter: frozenset[int] | set[int] = DEFAULT_STATUS_FILTER,
-) -> list[AccessEvent]:
-    """Validate every line of a log and keep the events whose status passes.
+) -> Iterator[tuple[str, int, str]]:
+    """Validate every line of a log and yield the events whose status passes.
 
-    Equal to `preprocess(parse_log_lines(lines, delimiter=delimiter),
-    status_filter)`, with the same errors, but builds no LogRecord, and
-    each distinct client or video id string is stored once.
+    Each event is a `(client_id, timestamp, video_id)` tuple, and each
+    distinct client or video id string is yielded as one object. A bad
+    line raises its LogParseError when the reader reaches it, after the
+    events of the lines before it.
     """
     ids: dict[str, str] = {}
     intern = ids.setdefault
@@ -124,7 +139,6 @@ def read_events(
     # longer and malformed lines) take the shared step below it, which
     # skips blank and comment lines and keeps the line or raises its error.
     spelled = {str(code) for code in status_filter if type(code) is int}
-    events: list[AccessEvent] = []
     for number, line in enumerate(lines, 1):
         if not delimiter:
             try:
@@ -133,9 +147,7 @@ def read_events(
                     timestamp = int(raw_ts)
                     if timestamp >= 0 and int(raw_bytes) >= 0:
                         if raw_status in spelled or int(raw_status) in status_filter:
-                            # AccessEvent(...) without the Python frame of its __new__.
-                            events.append(tuple.__new__(AccessEvent, (intern(client_id, client_id),
-                                                        timestamp, intern(video_id, video_id))))
+                            yield intern(client_id, client_id), timestamp, intern(video_id, video_id)
                         continue
             except ValueError:
                 pass
@@ -144,9 +156,23 @@ def read_events(
             continue
         client_id, _, timestamp, video_id, status_code, _ = _fields(stripped, number, delimiter)
         if status_code in status_filter:
-            events.append(AccessEvent(intern(client_id, client_id), timestamp,
-                                      intern(video_id, video_id)))
-    return events
+            yield intern(client_id, client_id), timestamp, intern(video_id, video_id)
+
+
+def read_events(
+    lines: Iterable[str],
+    *,
+    delimiter: str | None = None,
+    status_filter: frozenset[int] | set[int] = DEFAULT_STATUS_FILTER,
+) -> list[AccessEvent]:
+    """The events of `iter_events`, as a list of AccessEvent.
+
+    Equal to `preprocess(parse_log_lines(lines, delimiter=delimiter),
+    status_filter)`, with the same errors, but builds no LogRecord, and
+    each distinct client or video id string is stored once.
+    """
+    events = iter_events(lines, delimiter=delimiter, status_filter=status_filter)
+    return list(map(AccessEvent._make, events))
 
 
 def preprocess(
@@ -162,31 +188,44 @@ def preprocess(
 
 
 def segment_sessions(
-    events: Iterable[AccessEvent], maximum_idle_time: int = DEFAULT_MAX_IDLE_SECONDS
+    events: Iterable[tuple[str, int, str]], maximum_idle_time: int = DEFAULT_MAX_IDLE_SECONDS
 ) -> list[Session]:
     """Split each client's event stream into sessions.
 
-    A gap strictly greater than `maximum_idle_time` seconds between
-    consecutive events closes the current session; a gap exactly equal to
-    it does not. Events with equal timestamps keep their input order.
-    Sessions are returned sorted by (client_id, start).
+    `events` yields `(client_id, timestamp, video_id)` triples, such as
+    AccessEvents or the tuples of `iter_events`, and is read once. A gap
+    strictly greater than `maximum_idle_time` seconds between consecutive
+    events closes the current session; a gap exactly equal to it does not.
+    Events with equal timestamps keep their input order. Sessions are
+    returned sorted by (client_id, start).
     """
     if maximum_idle_time <= 0:
         raise ValueError("maximum_idle_time must be positive")
-    by_client: dict[str, list[AccessEvent]] = {}
-    for event in events:
-        by_client.setdefault(event.client_id, []).append(event)
+    by_client: dict[str, tuple[list[int], list[str]]] = {}
+    for client_id, timestamp, video_id in events:
+        try:
+            stamps, videos = by_client[client_id]
+        except KeyError:
+            stamps, videos = by_client[client_id] = [], []
+        stamps.append(timestamp)
+        videos.append(video_id)
     sessions = []
     for client_id in sorted(by_client):
-        ordered = sorted(by_client[client_id], key=attrgetter("timestamp"))
-        run: list[AccessEvent] = []
-        for event in ordered:
-            if run and event.timestamp - run[-1].timestamp > maximum_idle_time:
-                sessions.append(Session(client_id, tuple(run)))
-                run = []
-            run.append(event)
-        if run:
-            sessions.append(Session(client_id, tuple(run)))
+        # Popped, so each client's lists are freed once its sessions hold
+        # their columns.
+        stamps, videos = by_client.pop(client_id)
+        gaps = list(map(sub, stamps[1:], stamps))
+        if min(gaps, default=0) < 0:
+            # A stable sort, so equal timestamps keep their input order.
+            stamps, videos = zip(*sorted(zip(stamps, videos), key=itemgetter(0)))
+            gaps = list(map(sub, stamps[1:], stamps))
+        stamps, videos = tuple(stamps), tuple(videos)
+        # Event i starts a new session when the gap before it is too long.
+        start = 0
+        for cut in compress(count(1), map(gt, gaps, repeat(maximum_idle_time))):
+            sessions.append(Session(client_id, stamps[start:cut], videos[start:cut]))
+            start = cut
+        sessions.append(Session(client_id, stamps[start:], videos[start:]))
     return sessions
 
 

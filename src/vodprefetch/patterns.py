@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fileio import atomic_write
@@ -42,11 +41,18 @@ class BaseVector(NamedTuple):
         return BaseVector(ordered, index)
 
 
-def build_base_vector(events: Sequence[AccessEvent]) -> BaseVector:
-    """Sorted distinct video ids of the corpus; stable under reordering."""
-    if not events:
+def build_base_vector(corpus: Sequence[AccessEvent | Session]) -> BaseVector:
+    """Sorted distinct video ids of the corpus; stable under reordering.
+
+    The corpus is a sequence of events or of sessions: each item's
+    `videos` are the video ids it requested.
+    """
+    if not corpus:
         raise ValueError("cannot build a base vector from an empty corpus")
-    return BaseVector.from_urls(sorted({event.video_id for event in events}))
+    videos: set[str] = set()
+    for item in corpus:
+        videos.update(item.videos)
+    return BaseVector.from_urls(sorted(videos))
 
 
 class PatternVector(NamedTuple):
@@ -62,7 +68,7 @@ def extract_pattern(
     """Set bit i when URL i was requested at least freq_threshold times."""
     if freq_threshold < 1:
         raise ValueError("freq_threshold must be >= 1")
-    counts = Counter(map(attrgetter("video_id"), session.events))
+    counts = Counter(session.videos)
     bits = [0] * base.size
     for video_id, count in counts.items():
         index = base.index_of.get(video_id)

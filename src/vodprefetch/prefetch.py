@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .art1 import DEFAULT_MAX_EPOCHS, Art1Config, Art1Network, Assignment, CapacityError
@@ -123,7 +122,7 @@ def evaluate_plan(
         if cluster is None:
             unclustered.add(session.client_id)
             continue
-        requested.setdefault(cluster, set()).update(map(attrgetter("video_id"), session.events))
+        requested.setdefault(cluster, set()).update(session.videos)
     member_counts = Counter(membership.values())
     metrics = []
     for cluster in sorted(plan):

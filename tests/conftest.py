@@ -13,5 +13,4 @@ def make_event(client: str, ts: int, video: str) -> AccessEvent:
 
 
 def make_session(client: str, requests: list[tuple[int, str]]) -> Session:
-    events = tuple(make_event(client, ts, video) for ts, video in requests)
-    return Session(client, events)
+    return Session(client, tuple(ts for ts, _ in requests), tuple(video for _, video in requests))

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import vodprefetch.cli as cli
+import vodprefetch.logs as logs_module
 import vodprefetch.patterns as patterns_module
 from vodprefetch.art1 import Art1Config, init_network, load_snapshot, render_snapshot, train
 from vodprefetch.cli import (
@@ -122,6 +123,13 @@ def test_example_config_loads(run_configs):
         seed=7,
         window_spacing=86400,
     )
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, run_configs):
+    ini = write_ini(tmp_path, "\ufeff" + SMALL_INI)
+    assert main(["--config", ini, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert run_configs[0].seed == 3
+    assert run_configs[0].workload.num_clients == 10
 
 
 def test_unknown_workload_key_is_usage_error(tmp_path, capsys):
@@ -409,6 +417,41 @@ def test_replay_csv_log(tmp_path):
     assert main(["--input", str(trace), "--csv", "--out", str(out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("delimiter", [" ", ","], ids=["whitespace", "csv"])
+def test_replay_reads_a_log_that_starts_with_a_byte_order_mark(tmp_path, delimiter):
+    # The generated trace starts with its "# client_id ..." header; with a
+    # mark in front, that line must still read as a comment.
+    generated = tmp_path / "generated"
+    assert main(["--config", write_ini(tmp_path), "--out", str(generated)]) == EXIT_OK
+    text = (generated / "trace.log").read_text(encoding="utf-8").replace(" ", delimiter)
+    flags = ["--csv"] if delimiter == "," else []
+    outs = {}
+    for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+        trace = tmp_path / f"{name}.log"
+        trace.write_text(prefix + text, encoding="utf-8")
+        outs[name] = tmp_path / name
+        argv = ["--input", str(trace), "--out", str(outs[name]), "--dump-patterns", *flags]
+        assert main(argv) == EXIT_OK
+    assert (tmp_path / "bom.log").read_bytes().startswith(b"\xef\xbb\xbf#")
+    for name in ("metrics.csv", "cluster_counts.csv", "network.snapshot", "patterns.csv"):
+        assert (outs["plain"] / name).read_bytes() == (outs["bom"] / name).read_bytes(), name
+
+
+def test_replay_streams_the_log_without_an_event_list(tmp_path, monkeypatch):
+    # `run` feeds the reader's events straight into segment_sessions;
+    # read_events would hold every event of the log at once.
+    def refuse(*args, **kwargs):
+        raise AssertionError("cli.run built the list of all events")
+
+    monkeypatch.setattr(cli, "read_events", refuse, raising=False)
+    monkeypatch.setattr(logs_module, "read_events", refuse)
+    generated, replayed = tmp_path / "generated", tmp_path / "replayed"
+    assert main(["--config", write_ini(tmp_path), "--out", str(generated)]) == EXIT_OK
+    assert main(["--input", str(generated / "trace.log"), "--out", str(replayed)]) == EXIT_OK
+    for name in ("metrics.csv", "cluster_counts.csv", "network.snapshot"):
+        assert (generated / name).read_bytes() == (replayed / name).read_bytes(), name
+
+
 # --- cyclic GC ---
 
 
@@ -463,13 +506,13 @@ def test_main_restores_the_gc_state_after_help(capsys, caller_gc):
 
 def test_library_run_keeps_the_gc(tmp_path, monkeypatch):
     seen = []
-    read_events = cli.read_events
+    iter_events = cli.iter_events
 
     def watched(*args, **kwargs):
         seen.append(gc.isenabled())
-        return read_events(*args, **kwargs)
+        return iter_events(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "read_events", watched)
+    monkeypatch.setattr(cli, "iter_events", watched)
     config = cli._assemble_config(["--config", write_ini(tmp_path), "--out", str(tmp_path)])
     assert gc.isenabled()
     assert cli.run(config) == EXIT_OK

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,14 @@ from vodprefetch.logs import (
     AccessEvent,
     LogParseError,
     group_sessions_by_window,
+    iter_events,
     parse_log_file,
     parse_log_lines,
     preprocess,
     read_events,
     segment_sessions,
 )
-from vodprefetch.workload import LogRecord
+from vodprefetch.workload import LogRecord, WorkloadConfig, generate, render_trace_log
 
 from conftest import make_event
 
@@ -93,6 +96,12 @@ def test_parse_log_file_roundtrip(tmp_path):
     path.write_text("# comment\nc1 u1 1000 v1 200 10\n", encoding="utf-8")
     records = parse_log_file(path)
     assert records == [LogRecord("c1", "u1", 1000, "v1", 200, 10)]
+
+
+def test_parse_log_file_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "trace.log"
+    path.write_text("\ufeffc1 u1 1000 v1 200 10\n", encoding="utf-8")
+    assert parse_log_file(path) == [LogRecord("c1", "u1", 1000, "v1", 200, 10)]
 
 
 # --- preprocessing ---
@@ -363,6 +372,111 @@ def test_read_events_stores_each_id_once():
 
 
 # --- session segmentation ---
+
+
+def reference_segments(events, maximum_idle_time):
+    """Segmentation over AccessEvents as it was before sessions held columns.
+
+    Returns (client_id, events) pairs in segment_sessions's order.
+    """
+    by_client: dict[str, list[AccessEvent]] = {}
+    for event in events:
+        by_client.setdefault(event.client_id, []).append(event)
+    segments = []
+    for client_id in sorted(by_client):
+        run: list[AccessEvent] = []
+        for event in sorted(by_client[client_id], key=attrgetter("timestamp")):
+            if run and event.timestamp - run[-1].timestamp > maximum_idle_time:
+                segments.append((client_id, tuple(run)))
+                run = []
+            run.append(event)
+        if run:
+            segments.append((client_id, tuple(run)))
+    return segments
+
+
+@st.composite
+def event_streams(draw):
+    """(events, idle): several clients' events, shuffled or in time order.
+
+    Steps between a client's events are 0 (equal timestamps), 1, or the
+    idle bound minus one, exactly, or plus one.
+    """
+    idle = draw(st.integers(1, 6))
+    steps = st.sampled_from([0, 0, 1, idle - 1, idle, idle + 1])
+    events = []
+    for client_id in draw(st.lists(st.sampled_from(["c1", "c2", "c3", "c10"]), unique=True)):
+        timestamp = draw(st.integers(0, 3))
+        for _ in range(draw(st.integers(1, 12))):
+            timestamp += draw(steps)
+            events.append(AccessEvent(client_id, timestamp, draw(st.sampled_from(["v1", "v2", "v3"]))))
+    if draw(st.booleans()):
+        events = draw(st.permutations(events))
+    else:
+        events.sort(key=attrgetter("timestamp"))  # clients interleaved, each in order
+    return events, idle
+
+
+@given(event_streams())
+@settings(max_examples=300, deadline=None)
+def test_segmentation_equals_event_based_reference(stream):
+    events, idle = stream
+    expected = reference_segments(events, idle)
+    for given_events in (events, [tuple(event) for event in events]):
+        sessions = segment_sessions(iter(given_events), idle)
+        assert len(sessions) == len(expected)
+        for session, (client_id, run) in zip(sessions, expected):
+            assert session.client_id == client_id
+            assert session.timestamps == tuple(event.timestamp for event in run)
+            assert session.videos == tuple(event.video_id for event in run)
+            assert (session.start, session.end) == (run[0].timestamp, run[-1].timestamp)
+            assert session.events == run
+
+
+@given(logs(), st.frozensets(st.sampled_from(STATUSES)))
+@settings(max_examples=200, deadline=None)
+def test_streamed_segmentation_equals_segmentation_of_read_events(log, status_filter):
+    lines, delimiter, _ = log
+
+    def sessions(read):
+        return outcome(lambda: segment_sessions(
+            read(iter(lines), delimiter=delimiter, status_filter=status_filter), 5000
+        ))
+
+    assert sessions(iter_events) == sessions(read_events)
+
+
+def test_streamed_segmentation_raises_at_the_bad_line():
+    lines = ["# header", "c1 u1 10 v1 200 5", "c2 u2 20 v2 404 5", "", "c1 u1 30 x1 OK 5"]
+    with pytest.raises(LogParseError) as streamed:
+        segment_sessions(iter_events(iter(lines)))
+    with pytest.raises(LogParseError) as listed:
+        read_events(lines)
+    assert str(streamed.value) == str(listed.value)
+    assert streamed.value.line_number == listed.value.line_number == 5
+
+
+def test_streamed_segmentation_peaks_below_the_event_list():
+    # About 30k log lines. Streaming keeps only each client's timestamp and
+    # video columns, where read_events first holds an AccessEvent per line.
+    records, _ = generate(WorkloadConfig(num_clients=20, num_session_windows=5, seed=11,
+                                         requests_min=280, requests_max=320))
+    lines = render_trace_log(records).splitlines(keepends=True)
+    del records
+    assert 25_000 <= len(lines) <= 35_000
+
+    def peak(segment):
+        tracemalloc.start()
+        try:
+            sessions = segment()
+            return tracemalloc.get_traced_memory()[1], sessions
+        finally:
+            tracemalloc.stop()
+
+    streamed, streamed_sessions = peak(lambda: segment_sessions(iter_events(lines)))
+    listed, listed_sessions = peak(lambda: segment_sessions(read_events(lines)))
+    assert streamed_sessions == listed_sessions
+    assert streamed <= 0.6 * listed, (streamed, listed)
 
 
 def test_segmentation_splits_on_large_gap():

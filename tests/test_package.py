@@ -86,7 +86,7 @@ VALUES = [
     Art1Config(4, 0.5, 3),
     Assignment((0,), ((),), True, 1),
     EVENT,
-    Session("c1", (EVENT,)),
+    Session("c1", (5,), ("v1",)),
     BaseVector.from_urls(["v1", "v2"]),
     PatternVector("c1", (1, 0)),
     CacheMetrics(0, 1, 2, 1),
@@ -105,9 +105,10 @@ def test_value_types_reject_attribute_assignment(value):
 
 
 def test_value_types_derive_what_their_fields_fix():
-    session = Session("c1", (AccessEvent("c1", 5, "v1"), AccessEvent("c1", 9, "v2")))
-    assert Session._fields == ("client_id", "events")
+    session = Session("c1", (5, 9), ("v1", "v2"))
+    assert Session._fields == ("client_id", "timestamps", "videos")
     assert (session.start, session.end) == (5, 9)
+    assert session.events == (AccessEvent("c1", 5, "v1"), AccessEvent("c1", 9, "v2"))
 
     assert CacheMetrics._fields == ("cluster_index", "member_count", "prefetched_count", "hits")
     assert CacheMetrics(0, 1, 36, 34).accuracy == 34 / 36

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from vodprefetch.logs import parse_log_lines, segment_sessions
+from vodprefetch.logs import parse_log_lines, preprocess, segment_sessions
 from vodprefetch.workload import (
     MAX_STEP_SECONDS,
     GroundTruth,
@@ -221,7 +221,7 @@ def test_generate_one_session_per_client_per_window():
     # tight spacing a late visit can legitimately merge into the next one.
     config = small_config(window_spacing=86400)
     records, _ = generate(config)
-    sessions = segment_sessions(records)
+    sessions = segment_sessions(preprocess(records))
     assert len(sessions) == config.num_clients * config.num_session_windows
     counts = Counter(s.client_id for s in sessions)
     assert all(n == config.num_session_windows for n in counts.values())
