@@ -8,7 +8,6 @@ snapshots the network of the sweep point at the configured vigilance.
 from __future__ import annotations
 
 import argparse
-import gc
 import logging
 import os
 import re
@@ -407,19 +406,10 @@ def _assemble_config(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    """Run the command; returns the process exit code.
-
-    The cyclic garbage collector is off while it runs and is left as the
-    caller had it, however `main` ends. The pipeline makes almost no
-    reference cycles, so reference counting frees its objects, and the
-    collector's passes over hundreds of thousands of live event tuples
-    would only cost time. Library calls to `run` keep the default.
-    """
+    """Run the command; returns the process exit code."""
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s"
     )
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         return run(_assemble_config(argv))
     except UsageError as exc:
@@ -428,9 +418,6 @@ def main(argv=None) -> int:
     except (DataError, LogParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    finally:
-        if enabled:
-            gc.enable()
 
 
 if __name__ == "__main__":

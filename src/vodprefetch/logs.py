@@ -124,9 +124,12 @@ def iter_events(
     """Validate every line of a log and yield the events whose status passes.
 
     Each event is a `(client_id, timestamp, video_id)` tuple, and each
-    distinct client or video id string is yielded as one object. A bad
-    line raises its LogParseError when the reader reaches it, after the
-    events of the lines before it.
+    distinct client or video id string is yielded as one object. The
+    events are equal to `preprocess(parse_log_lines(lines,
+    delimiter=delimiter), status_filter)`, with the same errors and line
+    numbers, but no LogRecord is built. A bad line raises its
+    LogParseError when the reader reaches it, after the events of the
+    lines before it.
     """
     ids: dict[str, str] = {}
     intern = ids.setdefault
@@ -157,22 +160,6 @@ def iter_events(
         client_id, _, timestamp, video_id, status_code, _ = _fields(stripped, number, delimiter)
         if status_code in status_filter:
             yield intern(client_id, client_id), timestamp, intern(video_id, video_id)
-
-
-def read_events(
-    lines: Iterable[str],
-    *,
-    delimiter: str | None = None,
-    status_filter: frozenset[int] | set[int] = DEFAULT_STATUS_FILTER,
-) -> list[AccessEvent]:
-    """The events of `iter_events`, as a list of AccessEvent.
-
-    Equal to `preprocess(parse_log_lines(lines, delimiter=delimiter),
-    status_filter)`, with the same errors, but builds no LogRecord, and
-    each distinct client or video id string is stored once.
-    """
-    events = iter_events(lines, delimiter=delimiter, status_filter=status_filter)
-    return list(map(AccessEvent._make, events))
 
 
 def preprocess(

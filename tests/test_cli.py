@@ -6,12 +6,12 @@ import logging
 import os
 import subprocess
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
 
 import vodprefetch.cli as cli
-import vodprefetch.logs as logs_module
 import vodprefetch.patterns as patterns_module
 from vodprefetch.art1 import Art1Config, init_network, load_snapshot, render_snapshot, train
 from vodprefetch.cli import (
@@ -438,16 +438,22 @@ def test_replay_reads_a_log_that_starts_with_a_byte_order_mark(tmp_path, delimit
 
 
 def test_replay_streams_the_log_without_an_event_list(tmp_path, monkeypatch):
-    # `run` feeds the reader's events straight into segment_sessions;
-    # read_events would hold every event of the log at once.
-    def refuse(*args, **kwargs):
-        raise AssertionError("cli.run built the list of all events")
+    # `run` feeds the reader's events straight into segment_sessions; a
+    # list or tuple of them would hold every event of the log at once.
+    handed = []
+    segment_sessions = cli.segment_sessions
 
-    monkeypatch.setattr(cli, "read_events", refuse, raising=False)
-    monkeypatch.setattr(logs_module, "read_events", refuse)
+    def watched(events, *args):
+        handed.append(events)
+        return segment_sessions(events, *args)
+
+    monkeypatch.setattr(cli, "segment_sessions", watched)
     generated, replayed = tmp_path / "generated", tmp_path / "replayed"
     assert main(["--config", write_ini(tmp_path), "--out", str(generated)]) == EXIT_OK
     assert main(["--input", str(generated / "trace.log"), "--out", str(replayed)]) == EXIT_OK
+    assert len(handed) == 2
+    for events in handed:
+        assert isinstance(events, Iterator) and not isinstance(events, (list, tuple))
     for name in ("metrics.csv", "cluster_counts.csv", "network.snapshot"):
         assert (generated / name).read_bytes() == (replayed / name).read_bytes(), name
 
@@ -464,59 +470,41 @@ def caller_gc(request):
     (gc.enable if original else gc.disable)()
 
 
-def test_main_runs_with_the_gc_off(monkeypatch, caller_gc):
-    seen = []
-    monkeypatch.setattr(cli, "run", lambda config: seen.append(gc.isenabled()) or EXIT_OK)
-    assert main([]) == EXIT_OK
-    assert seen == [False]
-    assert gc.isenabled() is caller_gc
-
-
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, outcome",
     [
         (["--config", "{ini}", "--out", "{out}"], EXIT_OK),
         (["--nope"], EXIT_USAGE),
         (["--input", "{missing}", "--out", "{out}"], EXIT_DATA),
+        ([], RuntimeError),
+        (["--help"], SystemExit),
     ],
-    ids=["ok", "usage", "data"],
+    ids=["ok", "usage", "data", "raises", "help"],
 )
-def test_main_restores_the_callers_gc_state(tmp_path, capsys, caller_gc, argv, code):
-    paths = {"ini": write_ini(tmp_path), "out": tmp_path / "out", "missing": tmp_path / "no.log"}
-    assert main([arg.format(**paths) for arg in argv]) == code
-    assert gc.isenabled() is caller_gc
-
-
-def test_main_restores_the_gc_state_when_run_raises(monkeypatch, caller_gc):
-    def fail(config):
-        raise RuntimeError("boom")
-
-    monkeypatch.setattr(cli, "run", fail)
-    with pytest.raises(RuntimeError, match="boom"):
-        main([])
-    assert gc.isenabled() is caller_gc
-
-
-def test_main_restores_the_gc_state_after_help(capsys, caller_gc):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--help"])
-    assert exit_info.value.code == 0
-    assert gc.isenabled() is caller_gc
-
-
-def test_library_run_keeps_the_gc(tmp_path, monkeypatch):
+def test_main_restores_the_callers_gc_state(tmp_path, capsys, monkeypatch, caller_gc, argv, outcome):
+    # `main` runs with the caller's GC state and leaves it so, however it
+    # ends; in the "raises" case `run` raises an error `main` does not map.
     seen = []
-    iter_events = cli.iter_events
+    run = cli.run
 
-    def watched(*args, **kwargs):
+    def watched(config):
         seen.append(gc.isenabled())
-        return iter_events(*args, **kwargs)
+        if outcome is RuntimeError:
+            raise RuntimeError("boom")
+        return run(config)
 
-    monkeypatch.setattr(cli, "iter_events", watched)
-    config = cli._assemble_config(["--config", write_ini(tmp_path), "--out", str(tmp_path)])
-    assert gc.isenabled()
-    assert cli.run(config) == EXIT_OK
-    assert seen == [True]
+    monkeypatch.setattr(cli, "run", watched)
+    paths = {"ini": write_ini(tmp_path), "out": tmp_path / "out", "missing": tmp_path / "no.log"}
+    argv = [arg.format(**paths) for arg in argv]
+    if isinstance(outcome, int):
+        assert main(argv) == outcome
+    else:
+        with pytest.raises(outcome) as raised:
+            main(argv)
+        if outcome is SystemExit:
+            assert raised.value.code == 0
+    assert gc.isenabled() is caller_gc
+    assert seen in ([], [caller_gc])
 
 
 # --- exit codes ---

@@ -16,7 +16,6 @@ from vodprefetch.logs import (
     parse_log_file,
     parse_log_lines,
     preprocess,
-    read_events,
     segment_sessions,
 )
 from vodprefetch.workload import LogRecord, WorkloadConfig, generate, render_trace_log
@@ -36,7 +35,7 @@ def test_parse_ignores_trailing_fields():
 
 def test_parse_too_few_fields():
     with pytest.raises(LogParseError) as err:
-        read_events(["#"] * 16 + ["c1 u1 1000"])
+        list(iter_events(["#"] * 16 + ["c1 u1 1000"]))
     assert err.value.line_number == 17
     assert str(err.value) == "line 17: expected at least 6 fields, got 3"
 
@@ -51,7 +50,7 @@ def test_parse_too_few_fields():
 )
 def test_parse_non_numeric_fields(line):
     with pytest.raises(LogParseError) as err:
-        read_events(["# comment", "", line])
+        list(iter_events(["# comment", "", line]))
     assert err.value.line_number == 3
     assert str(err.value) == (
         f"line 3: non-numeric timestamp, status or bytes in {line.split()!r}"
@@ -60,13 +59,13 @@ def test_parse_non_numeric_fields(line):
 
 def test_parse_negative_timestamp_rejected():
     with pytest.raises(LogParseError) as err:
-        read_events(["c1 u1 -5 v42 200 512"])
+        list(iter_events(["c1 u1 -5 v42 200 512"]))
     assert str(err.value) == "line 1: negative timestamp -5"
 
 
 def test_parse_csv_variant():
     line = "c1, u1, 1000, v42, 200, 512"
-    assert read_events([line], delimiter=",") == [AccessEvent("c1", 1000, "v42")]
+    assert list(iter_events([line], delimiter=",")) == [AccessEvent("c1", 1000, "v42")]
     assert parse_log_lines([line], delimiter=",") == [
         LogRecord("c1", "u1", 1000, "v42", 200, 512)
     ]
@@ -209,12 +208,15 @@ def outcome(read):
         return None, (str(exc), exc.line_number)
 
 
+# The `read_events` tests check the events of `iter_events`, read into a list.
+
+
 @given(logs(), st.frozensets(st.sampled_from(STATUSES)))
 @settings(max_examples=400, deadline=None)
 def test_read_events_equals_parse_then_preprocess(log, status_filter):
     lines, delimiter, has_bad_line = log
     one_pass = outcome(
-        lambda: read_events(lines, delimiter=delimiter, status_filter=status_filter)
+        lambda: list(iter_events(lines, delimiter=delimiter, status_filter=status_filter))
     )
     two_pass = outcome(
         lambda: preprocess(parse_log_lines(lines, delimiter=delimiter), status_filter)
@@ -281,7 +283,7 @@ def whitespace_logs(draw):
 @given(whitespace_logs(), st.frozensets(st.sampled_from(STATUSES)))
 @settings(max_examples=200, deadline=None)
 def test_whitespace_read_events_equals_reference_on_odd_input(lines, status_filter):
-    one_pass = outcome(lambda: read_events(lines, status_filter=status_filter))
+    one_pass = outcome(lambda: list(iter_events(lines, status_filter=status_filter)))
     two_pass = outcome(lambda: preprocess(parse_log_lines(lines), status_filter))
     assert one_pass == two_pass
 
@@ -290,9 +292,9 @@ def test_whitespace_read_events_equals_reference_on_odd_input(lines, status_filt
 
 
 def read_both(lines, status_filter=frozenset({200}), delimiter=None):
-    """read_events's outcome, after checking it equals the two-step reference's."""
+    """iter_events's outcome as a list, after checking it equals the two-step reference's."""
     one_pass = outcome(
-        lambda: read_events(lines, delimiter=delimiter, status_filter=status_filter)
+        lambda: list(iter_events(lines, delimiter=delimiter, status_filter=status_filter))
     )
     two_pass = outcome(
         lambda: preprocess(parse_log_lines(lines, delimiter=delimiter), status_filter)
@@ -359,16 +361,16 @@ def test_read_events_rejects_4301_digit_bytes():
 def test_read_events_rejects_bad_line_whose_status_is_filtered():
     lines = ["c1 u1 10 v1 200 5", "c1 u1 20 v2 404 -5"]
     with pytest.raises(LogParseError) as err:
-        read_events(lines)
+        list(iter_events(lines))
     assert err.value.line_number == 2
     assert str(err.value) == "line 2: negative bytes_sent -5"
 
 
 def test_read_events_stores_each_id_once():
     lines = ["c1 u1 10 v1 200 5", "c1 u1 20 v1 200 5", "v1 u1 30 c1 200 5"]
-    first, second, third = read_events(lines)
-    assert first.client_id is second.client_id is third.video_id
-    assert first.video_id is second.video_id is third.client_id
+    first, second, third = iter_events(lines)
+    assert first[0] is second[0] is third[2]
+    assert first[2] is second[2] is third[0]
 
 
 # --- session segmentation ---
@@ -443,7 +445,10 @@ def test_streamed_segmentation_equals_segmentation_of_read_events(log, status_fi
             read(iter(lines), delimiter=delimiter, status_filter=status_filter), 5000
         ))
 
-    assert sessions(iter_events) == sessions(read_events)
+    def listed(*args, **kwargs):
+        return list(iter_events(*args, **kwargs))
+
+    assert sessions(iter_events) == sessions(listed)
 
 
 def test_streamed_segmentation_raises_at_the_bad_line():
@@ -451,14 +456,14 @@ def test_streamed_segmentation_raises_at_the_bad_line():
     with pytest.raises(LogParseError) as streamed:
         segment_sessions(iter_events(iter(lines)))
     with pytest.raises(LogParseError) as listed:
-        read_events(lines)
+        list(iter_events(lines))
     assert str(streamed.value) == str(listed.value)
     assert streamed.value.line_number == listed.value.line_number == 5
 
 
 def test_streamed_segmentation_peaks_below_the_event_list():
     # About 30k log lines. Streaming keeps only each client's timestamp and
-    # video columns, where read_events first holds an AccessEvent per line.
+    # video columns, where the listed baseline first holds a tuple per line.
     records, _ = generate(WorkloadConfig(num_clients=20, num_session_windows=5, seed=11,
                                          requests_min=280, requests_max=320))
     lines = render_trace_log(records).splitlines(keepends=True)
@@ -474,7 +479,7 @@ def test_streamed_segmentation_peaks_below_the_event_list():
             tracemalloc.stop()
 
     streamed, streamed_sessions = peak(lambda: segment_sessions(iter_events(lines)))
-    listed, listed_sessions = peak(lambda: segment_sessions(read_events(lines)))
+    listed, listed_sessions = peak(lambda: segment_sessions(list(iter_events(lines))))
     assert streamed_sessions == listed_sessions
     assert streamed <= 0.6 * listed, (streamed, listed)
 

@@ -41,11 +41,12 @@ def test_package_import_loads_no_submodule():
 
 # The names the package root used to re-export, by the module that defines
 # each: `from vodprefetch import X` is now `from vodprefetch.<module> import X`.
+# `iter_events`, which the CLI reads logs with, joins them.
 EXPORTED_NAMES = {
     "art1": ("Art1Config", "Art1Network", "Assignment", "CapacityError", "init_network",
              "load_snapshot", "present_pattern", "render_snapshot", "save_snapshot", "train"),
     "logs": ("AccessEvent", "LogParseError", "Session", "group_sessions_by_window",
-             "parse_log_file", "parse_log_lines", "preprocess", "read_events",
+             "iter_events", "parse_log_file", "parse_log_lines", "preprocess",
              "segment_sessions"),
     "patterns": ("BaseVector", "PatternVector", "UnknownVideoError", "build_base_vector",
                  "extract_pattern", "patterns_for_sessions", "render_pattern_matrix",
