@@ -507,6 +507,21 @@ def test_main_restores_the_callers_gc_state(tmp_path, capsys, monkeypatch, calle
     assert seen in ([], [caller_gc])
 
 
+def test_library_run_keeps_the_gc(tmp_path, monkeypatch):
+    seen = []
+    iter_events = cli.iter_events
+
+    def watched(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return iter_events(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "iter_events", watched)
+    config = cli._assemble_config(["--config", write_ini(tmp_path), "--out", str(tmp_path)])
+    assert gc.isenabled()
+    assert cli.run(config) == EXIT_OK
+    assert seen == [True]
+
+
 # --- exit codes ---
 
 
