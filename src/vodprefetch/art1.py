@@ -218,22 +218,18 @@ def _present(
     raise CapacityError(best_cluster, best / size)
 
 
-def present_pattern(
-    net: Art1Network, pattern: Sequence[int], *, force_assign: bool = False
-) -> int:
+def present_pattern(net: Art1Network, pattern: Sequence[int]) -> int:
     """Assign one pattern and return its cluster index.
 
     Clusters are tried in one pass from the best match down, ties to the
     lowest index, until one passes vigilance; each failure is a reset. When no
     candidate is left, a new cluster is created from the pattern if the cap
     allows, otherwise CapacityError reports the closest rejected cluster.
-    With force_assign=True the closest rejected cluster learns the pattern
-    instead of raising.
     """
     x = _to_mask(pattern, net.config.input_dim)
     if not x:
         raise ValueError("cannot present an all-zero pattern")
-    index, _ = _present(net, _tables(net.prototypes), x, force_assign)
+    index, _ = _present(net, _tables(net.prototypes), x, False)
     return index
 
 

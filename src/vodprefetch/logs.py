@@ -10,7 +10,6 @@ if TYPE_CHECKING:
     from .workload import LogRecord
 
 DEFAULT_MAX_IDLE_SECONDS = 1800
-DEFAULT_STATUS_FILTER = frozenset({200})
 
 
 class LogParseError(ValueError):
@@ -116,32 +115,26 @@ def parse_log_file(path, *, delimiter: str | None = None) -> list[LogRecord]:
 
 
 def iter_events(
-    lines: Iterable[str],
-    *,
-    delimiter: str | None = None,
-    status_filter: frozenset[int] | set[int] = DEFAULT_STATUS_FILTER,
+    lines: Iterable[str], *, delimiter: str | None = None
 ) -> Iterator[tuple[str, int, str]]:
-    """Validate every line of a log and yield the events whose status passes.
+    """Validate every line of a log and yield the events of status 200.
 
     Each event is a `(client_id, timestamp, video_id)` tuple, and each
     distinct client or video id string is yielded as one object. The
     events are equal to `preprocess(parse_log_lines(lines,
-    delimiter=delimiter), status_filter)`, with the same errors and line
-    numbers, but no LogRecord is built. A bad line raises its
-    LogParseError when the reader reaches it, after the events of the
-    lines before it.
+    delimiter=delimiter))`, with the same errors and line numbers, but
+    no LogRecord is built. A bad line raises its LogParseError when the
+    reader reaches it, after the events of the lines before it.
     """
     ids: dict[str, str] = {}
     intern = ids.setdefault
     # Whitespace lines first try a fast path. `line.split()` splits on the
     # same whitespace that `line.strip()` removes and never yields an empty
     # id, so a clean six-field line passes here exactly when `_fields`
-    # accepts it. `spelled` holds the filter's int codes as `str` spells
-    # them (`int(s) == code` for each), so a status found there needs no
-    # `int`. CSV lines and every line the fast path leaves (blank, comment,
-    # longer and malformed lines) take the shared step below it, which
-    # skips blank and comment lines and keeps the line or raises its error.
-    spelled = {str(code) for code in status_filter if type(code) is int}
+    # accepts it. CSV lines and every line the fast path leaves (blank,
+    # comment, longer and malformed lines) take the shared step below it,
+    # which skips blank and comment lines and keeps the line or raises its
+    # error.
     for number, line in enumerate(lines, 1):
         if not delimiter:
             try:
@@ -149,7 +142,7 @@ def iter_events(
                 if client_id[0] != "#":
                     timestamp = int(raw_ts)
                     if timestamp >= 0 and int(raw_bytes) >= 0:
-                        if raw_status in spelled or int(raw_status) in status_filter:
+                        if raw_status == "200" or int(raw_status) == 200:
                             yield intern(client_id, client_id), timestamp, intern(video_id, video_id)
                         continue
             except ValueError:
@@ -158,19 +151,16 @@ def iter_events(
         if not stripped or stripped[0] == "#":
             continue
         client_id, _, timestamp, video_id, status_code, _ = _fields(stripped, number, delimiter)
-        if status_code in status_filter:
+        if status_code == 200:
             yield intern(client_id, client_id), timestamp, intern(video_id, video_id)
 
 
-def preprocess(
-    records: Iterable[LogRecord],
-    status_filter: frozenset[int] | set[int] = DEFAULT_STATUS_FILTER,
-) -> list[AccessEvent]:
-    """Keep requests whose status passes the filter and drop unused fields."""
+def preprocess(records: Iterable[LogRecord]) -> list[AccessEvent]:
+    """Keep the requests of status 200 and drop unused fields."""
     return [
         AccessEvent(rec.client_id, rec.timestamp, rec.video_id)
         for rec in records
-        if rec.status_code in status_filter
+        if rec.status_code == 200
     ]
 
 

@@ -252,8 +252,8 @@ def test_capacity_error_reports_best_candidate():
 
 def test_force_assign_commits_best_cluster():
     net = net_with(vigilance=1.0, dim=2, cap=1)
-    present_pattern(net, (1, 0))
-    assert present_pattern(net, (0, 1), force_assign=True) == 0
+    assignment = train(net, [(1, 0), (0, 1)], force_assign=True)
+    assert assignment.clusters == (0, 0)
     assert net.top_down == [[0, 0]]  # AND of disjoint patterns
 
 
