@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from itertools import compress, count, repeat
 from operator import attrgetter, gt, itemgetter, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
@@ -10,6 +11,8 @@ if TYPE_CHECKING:
     from .workload import LogRecord
 
 DEFAULT_MAX_IDLE_SECONDS = 1800
+# Sessions keep their timestamps as C int64s (array typecode "q").
+MAX_TIMESTAMP = 2**63 - 1
 
 
 class LogParseError(ValueError):
@@ -21,11 +24,14 @@ class LogParseError(ValueError):
 
 
 def _check_record(client_id: str, timestamp: int, video_id: str, bytes_sent: int) -> None:
-    """Raise ValueError unless the ids are non-empty and the numbers non-negative."""
+    """Raise ValueError unless the ids are non-empty, the numbers non-negative
+    and the timestamp at most MAX_TIMESTAMP."""
     if not client_id or not video_id:
         raise ValueError("client_id and video_id must be non-empty")
     if timestamp < 0:
         raise ValueError(f"negative timestamp {timestamp}")
+    if timestamp > MAX_TIMESTAMP:
+        raise ValueError(f"timestamp {timestamp} above 2**63 - 1")
     if bytes_sent < 0:
         raise ValueError(f"negative bytes_sent {bytes_sent}")
 
@@ -46,13 +52,14 @@ class AccessEvent(NamedTuple):
 class Session(NamedTuple):
     """A client's maximal run of events with bounded think time.
 
-    `timestamps` and `videos` are the columns of its events: non-empty,
-    of equal length and in time order. `start` and `end` are its first
-    and last timestamps; `events` builds the `AccessEvent`s on each read.
+    `timestamps` (an int64 `array("q")`) and `videos` are the columns of
+    its events: non-empty, of equal length and in time order. `start`
+    and `end` are its first and last timestamps; `events` builds the
+    `AccessEvent`s on each read.
     """
 
     client_id: str
-    timestamps: tuple[int, ...]
+    timestamps: array[int]
     videos: tuple[str, ...]
 
     @property
@@ -141,7 +148,7 @@ def iter_events(
                 client_id, _, raw_ts, video_id, raw_status, raw_bytes = line.split()
                 if client_id[0] != "#":
                     timestamp = int(raw_ts)
-                    if timestamp >= 0 and int(raw_bytes) >= 0:
+                    if 0 <= timestamp <= MAX_TIMESTAMP and int(raw_bytes) >= 0:
                         if raw_status == "200" or int(raw_status) == 200:
                             yield intern(client_id, client_id), timestamp, intern(video_id, video_id)
                         continue
@@ -174,29 +181,35 @@ def segment_sessions(
     strictly greater than `maximum_idle_time` seconds between consecutive
     events closes the current session; a gap exactly equal to it does not.
     Events with equal timestamps keep their input order. Sessions are
-    returned sorted by (client_id, start).
+    returned sorted by (client_id, start). Each client's timestamps are
+    kept in one int64 `array("q")`, which each of its sessions slices; a
+    timestamp outside the int64 range raises ValueError.
     """
     if maximum_idle_time <= 0:
         raise ValueError("maximum_idle_time must be positive")
-    by_client: dict[str, tuple[list[int], list[str]]] = {}
+    by_client: dict[str, tuple[array[int], list[str]]] = {}
     for client_id, timestamp, video_id in events:
         try:
             stamps, videos = by_client[client_id]
         except KeyError:
-            stamps, videos = by_client[client_id] = [], []
-        stamps.append(timestamp)
+            stamps, videos = by_client[client_id] = array("q"), []
+        try:
+            stamps.append(timestamp)
+        except OverflowError:
+            raise ValueError(f"timestamp {timestamp} outside the int64 range") from None
         videos.append(video_id)
     sessions = []
     for client_id in sorted(by_client):
-        # Popped, so each client's lists are freed once its sessions hold
-        # their columns.
+        # Popped, so each client's columns are freed once its sessions hold
+        # their slices.
         stamps, videos = by_client.pop(client_id)
         gaps = list(map(sub, stamps[1:], stamps))
         if min(gaps, default=0) < 0:
             # A stable sort, so equal timestamps keep their input order.
             stamps, videos = zip(*sorted(zip(stamps, videos), key=itemgetter(0)))
+            stamps = array("q", stamps)
             gaps = list(map(sub, stamps[1:], stamps))
-        stamps, videos = tuple(stamps), tuple(videos)
+        videos = tuple(videos)
         # Event i starts a new session when the gap before it is too long.
         start = 0
         for cut in compress(count(1), map(gt, gaps, repeat(maximum_idle_time))):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from array import array
 from pathlib import Path
 
 from vodprefetch.logs import AccessEvent, Session
@@ -13,4 +14,6 @@ def make_event(client: str, ts: int, video: str) -> AccessEvent:
 
 
 def make_session(client: str, requests: list[tuple[int, str]]) -> Session:
-    return Session(client, tuple(ts for ts, _ in requests), tuple(video for _, video in requests))
+    return Session(
+        client, array("q", [ts for ts, _ in requests]), tuple(video for _, video in requests)
+    )

@@ -600,24 +600,33 @@ def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags, mess
          "bad config {ini}: zipf_exponent must be positive and finite, got nan"),
         ("[schedule]\n18 = 4 inf 1 1 1\n", [], EXIT_USAGE,
          "bad config {ini}: schedule hour 18 has a negative or non-finite multiplier"),
+        (None, ["--input", "{huge}"], EXIT_DATA,
+         "line 2: timestamp 9223372036854775808 above 2**63 - 1"),
     ],
     ids=["sweep-value", "session-idle", "freq-threshold", "history-windows",
          "max-clusters", "max-epochs", "log-format", "no-section-header", "schedule-empty",
          "schedule-garbage", "schedule-hour-24", "schedule-hour-word", "percent",
          "percent-reference", "config-sweep", "config-int", "config-bool", "config-vigilance",
          "config-overridden", "out-is-a-file", "out-under-a-file", "config-zipf-nan",
-         "schedule-inf"],
+         "schedule-inf", "timestamp-above-int64"],
 )
 def test_rejected_settings_exit_with_their_message(tmp_path, capsys, ini, flags, code, message):
-    paths = {"ini": str(tmp_path / "exp.ini"), "taken": str(tmp_path / "taken")}
+    paths = {"ini": str(tmp_path / "exp.ini"), "taken": str(tmp_path / "taken"),
+             "huge": str(tmp_path / "huge.log")}
     (tmp_path / "taken").write_text("", encoding="utf-8")
+    (tmp_path / "huge.log").write_text(
+        "c1 u1 9223372036854775807 v1 200 5\nc1 u1 9223372036854775808 v1 200 5\n",
+        encoding="utf-8",
+    )
     argv = ["--out", str(tmp_path / "out")]
     if ini is not None:
         argv += ["--config", write_ini(tmp_path, ini)]
     argv += [flag.format(**paths) for flag in flags]
     assert main(argv) == code
     assert capsys.readouterr().err.startswith(f"error: {message.format(**paths)}")
-    assert not (tmp_path / "out").exists()
+    # A bad setting stops the run before it makes the output directory; a
+    # bad log line is only found by the read, after it.
+    assert (tmp_path / "out").exists() == (code == EXIT_DATA)
 
 
 def test_missing_input_is_data_error(tmp_path, capsys):

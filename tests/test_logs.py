@@ -151,7 +151,7 @@ def record_fields(draw):
 
 def bad_fields(draw, fields, delimiter):
     """Break one well-formed line in a way parsing must reject."""
-    kinds = ["short", "non-numeric", "negative timestamp", "negative bytes"]
+    kinds = ["short", "non-numeric", "negative timestamp", "huge timestamp", "negative bytes"]
     if delimiter:
         kinds += ["empty client", "empty video"]
     kind = draw(st.sampled_from(kinds))
@@ -161,6 +161,8 @@ def bad_fields(draw, fields, delimiter):
         fields[draw(st.sampled_from([2, 4, 5]))] = "x1"
     elif kind == "negative timestamp":
         fields[2] = "-" + str(draw(st.integers(1, 10**6)))
+    elif kind == "huge timestamp":
+        fields[2] = str(2**63 + draw(st.integers(0, 10**6)))
     elif kind == "negative bytes":
         fields[5] = "-" + str(draw(st.integers(1, 10**6)))
     elif kind == "empty client":
@@ -344,6 +346,29 @@ def test_iter_events_rejects_bad_line_whose_status_is_filtered():
     assert str(err.value) == "line 2: negative bytes_sent -5"
 
 
+INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize("delimiter", [None, ","], ids=["whitespace", "csv"])
+def test_timestamps_up_to_int64_max_are_kept(delimiter):
+    line = (delimiter or " ").join(["c1", "u1", "{}", "v1", "200", "5"])
+    top = [line.format(INT64_MAX)]
+    assert read_both(top, delimiter) == ([AccessEvent("c1", INT64_MAX, "v1")], None)
+    (session,) = segment_sessions(iter_events(top, delimiter=delimiter))
+    assert (session.start, session.end) == (INT64_MAX, INT64_MAX)
+    above = [*top, line.format(INT64_MAX + 1)]
+    assert read_both(above, delimiter) == (
+        None, (f"line 2: timestamp {INT64_MAX + 1} above 2**63 - 1", 2)
+    )
+
+
+@pytest.mark.parametrize("timestamp", [INT64_MAX + 1, -(2**63) - 1])
+def test_segmentation_rejects_timestamps_outside_int64(timestamp):
+    events = [("c1", 0, "v1"), ("c1", timestamp, "v2")]
+    with pytest.raises(ValueError, match=f"^timestamp {timestamp} outside the int64 range$"):
+        segment_sessions(events)
+
+
 def test_iter_events_stores_each_id_once():
     lines = ["c1 u1 10 v1 200 5", "c1 u1 20 v1 200 5", "v1 u1 30 c1 200 5"]
     first, second, third = iter_events(lines)
@@ -407,7 +432,8 @@ def test_segmentation_equals_event_based_reference(stream):
         assert len(sessions) == len(expected)
         for session, (client_id, run) in zip(sessions, expected):
             assert session.client_id == client_id
-            assert session.timestamps == tuple(event.timestamp for event in run)
+            assert session.timestamps.typecode == "q"
+            assert tuple(session.timestamps) == tuple(event.timestamp for event in run)
             assert session.videos == tuple(event.video_id for event in run)
             assert (session.start, session.end) == (run[0].timestamp, run[-1].timestamp)
             assert session.events == run
@@ -460,10 +486,30 @@ def test_streamed_segmentation_peaks_below_the_event_list():
     assert streamed <= 0.6 * listed, (streamed, listed)
 
 
+def test_segmentation_keeps_at_most_24_bytes_per_event():
+    # The ~30k-line log of the test above. The sessions' int64 timestamp
+    # columns and video tuples cost 16 bytes per event, plus each
+    # session's headers; int objects in a list would cost about 44.
+    records, _ = generate(WorkloadConfig(num_clients=20, num_session_windows=5, seed=11,
+                                         requests_min=280, requests_max=320))
+    lines = render_trace_log(records).splitlines(keepends=True)
+    del records
+    tracemalloc.start()
+    try:
+        sessions = segment_sessions(iter_events(lines))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    kept = sum(len(session.videos) for session in sessions)
+    assert kept >= 25_000
+    assert held <= 24 * kept, (held, kept)
+
+
 def test_segmentation_splits_on_large_gap():
     events = [make_event("c1", t, "v") for t in (0, 100, 2000)]
     sessions = segment_sessions(events, maximum_idle_time=900)
     assert [(s.start, s.end) for s in sessions] == [(0, 100), (2000, 2000)]
+    assert [s.timestamps.typecode for s in sessions] == ["q", "q"]
 
 
 def test_segmentation_gap_equal_to_idle_stays_open():
@@ -488,6 +534,7 @@ def test_segmentation_orders_out_of_order_events():
     events = [make_event("c1", 500, "b"), make_event("c1", 0, "a")]
     (session,) = segment_sessions(events)
     assert [e.timestamp for e in session.events] == [0, 500]
+    assert session.timestamps.typecode == "q"
 
 
 def test_segmentation_equal_timestamps_keep_input_order():

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -87,7 +88,7 @@ VALUES = [
     Art1Config(4, 0.5, 3),
     Assignment((0,), ((),), True, 1),
     EVENT,
-    Session("c1", (5,), ("v1",)),
+    Session("c1", array("q", [5]), ("v1",)),
     BaseVector.from_urls(["v1", "v2"]),
     PatternVector("c1", (1, 0)),
     CacheMetrics(0, 1, 2, 1),
@@ -106,7 +107,7 @@ def test_value_types_reject_attribute_assignment(value):
 
 
 def test_value_types_derive_what_their_fields_fix():
-    session = Session("c1", (5, 9), ("v1", "v2"))
+    session = Session("c1", array("q", [5, 9]), ("v1", "v2"))
     assert Session._fields == ("client_id", "timestamps", "videos")
     assert (session.start, session.end) == (5, 9)
     assert session.events == (AccessEvent("c1", 5, "v1"), AccessEvent("c1", 9, "v2"))
