@@ -53,9 +53,9 @@ class Session(NamedTuple):
     """A client's maximal run of events with bounded think time.
 
     `timestamps` (an int64 `array("q")`) and `videos` are the columns of
-    its events: non-empty, of equal length and in time order. `start`
-    and `end` are its first and last timestamps; `events` builds the
-    `AccessEvent`s on each read.
+    its events: non-empty, of equal length and in time order (one string
+    per video id from `segment_sessions`). `start`/`end` are its first and
+    last timestamps; `events` builds the `AccessEvent`s on each read.
     """
 
     client_id: str
@@ -126,15 +126,13 @@ def iter_events(
 ) -> Iterator[tuple[str, int, str]]:
     """Validate every line of a log and yield the events of status 200.
 
-    Each event is a `(client_id, timestamp, video_id)` tuple, and each
-    distinct client or video id string is yielded as one object. The
-    events are equal to `preprocess(parse_log_lines(lines,
-    delimiter=delimiter))`, with the same errors and line numbers, but
-    no LogRecord is built. A bad line raises its LogParseError when the
-    reader reaches it, after the events of the lines before it.
+    Each event is a `(client_id, timestamp, video_id)` tuple of the
+    line's fields as split. The events are equal to
+    `preprocess(parse_log_lines(lines, delimiter=delimiter))`, with the
+    same errors and line numbers, but no LogRecord is built. A bad line
+    raises its LogParseError when the reader reaches it, after the
+    events of the lines before it.
     """
-    ids: dict[str, str] = {}
-    intern = ids.setdefault
     # Whitespace lines first try a fast path. `line.split()` splits on the
     # same whitespace that `line.strip()` removes and never yields an empty
     # id, so a clean six-field line passes here exactly when `_fields`
@@ -150,7 +148,7 @@ def iter_events(
                     timestamp = int(raw_ts)
                     if 0 <= timestamp <= MAX_TIMESTAMP and int(raw_bytes) >= 0:
                         if raw_status == "200" or int(raw_status) == 200:
-                            yield intern(client_id, client_id), timestamp, intern(video_id, video_id)
+                            yield client_id, timestamp, video_id
                         continue
             except ValueError:
                 pass
@@ -159,7 +157,7 @@ def iter_events(
             continue
         client_id, _, timestamp, video_id, status_code, _ = _fields(stripped, number, delimiter)
         if status_code == 200:
-            yield intern(client_id, client_id), timestamp, intern(video_id, video_id)
+            yield client_id, timestamp, video_id
 
 
 def preprocess(records: Iterable[LogRecord]) -> list[AccessEvent]:
@@ -178,16 +176,18 @@ def segment_sessions(
 
     `events` yields `(client_id, timestamp, video_id)` triples, such as
     AccessEvents or the tuples of `iter_events`, and is read once. A gap
-    strictly greater than `maximum_idle_time` seconds between consecutive
-    events closes the current session; a gap exactly equal to it does not.
-    Events with equal timestamps keep their input order. Sessions are
-    returned sorted by (client_id, start). Each client's timestamps are
-    kept in one int64 `array("q")`, which each of its sessions slices; a
-    timestamp outside the int64 range raises ValueError.
+    longer than `maximum_idle_time` seconds between consecutive events
+    closes the current session; a gap exactly equal to it does not. Equal
+    timestamps keep their input order. Sessions are sorted by (client_id,
+    start). They slice one int64 `array("q")` of timestamps per client
+    (ValueError for one outside int64) and hold one string per client
+    and per distinct video id, whatever fed them.
     """
     if maximum_idle_time <= 0:
         raise ValueError("maximum_idle_time must be positive")
     by_client: dict[str, tuple[array[int], list[str]]] = {}
+    ids: dict[str, str] = {}
+    intern = ids.setdefault
     for client_id, timestamp, video_id in events:
         try:
             stamps, videos = by_client[client_id]
@@ -197,7 +197,7 @@ def segment_sessions(
             stamps.append(timestamp)
         except OverflowError:
             raise ValueError(f"timestamp {timestamp} outside the int64 range") from None
-        videos.append(video_id)
+        videos.append(intern(video_id, video_id))
     sessions = []
     for client_id in sorted(by_client):
         # Popped, so each client's columns are freed once its sessions hold

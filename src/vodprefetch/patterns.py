@@ -62,23 +62,6 @@ class PatternVector(NamedTuple):
     bits: tuple[int, ...]
 
 
-def extract_pattern(
-    session: Session, base: BaseVector, freq_threshold: int = DEFAULT_FREQ_THRESHOLD
-) -> PatternVector:
-    """Set bit i when URL i was requested at least freq_threshold times."""
-    if freq_threshold < 1:
-        raise ValueError("freq_threshold must be >= 1")
-    counts = Counter(session.videos)
-    bits = [0] * base.size
-    for video_id, count in counts.items():
-        index = base.index_of.get(video_id)
-        if index is None:
-            raise UnknownVideoError(video_id)
-        if count >= freq_threshold:
-            bits[index] = 1
-    return PatternVector(session.client_id, tuple(bits))
-
-
 def patterns_for_sessions(
     sessions: Iterable[Session],
     base: BaseVector,
@@ -86,15 +69,26 @@ def patterns_for_sessions(
 ) -> tuple[list[PatternVector], int]:
     """Extract one pattern per session, dropping all-zero patterns.
 
-    Returns the kept patterns in input order plus the dropped count;
-    all-zero rows carry no signal and the clustering engine rejects them.
+    A session's pattern sets bit i when URL i was requested at least
+    freq_threshold times in it. Returns the kept patterns in input order
+    plus the dropped count; all-zero rows carry no signal and the
+    clustering engine rejects them.
     """
+    if freq_threshold < 1:
+        raise ValueError("freq_threshold must be >= 1")
+    index_of, size = base.index_of, base.size
     kept: list[PatternVector] = []
     dropped = 0
     for session in sessions:
-        pattern = extract_pattern(session, base, freq_threshold)
-        if any(pattern.bits):
-            kept.append(pattern)
+        bits = [0] * size
+        for video_id, count in Counter(session.videos).items():
+            index = index_of.get(video_id)
+            if index is None:
+                raise UnknownVideoError(video_id)
+            if count >= freq_threshold:
+                bits[index] = 1
+        if 1 in bits:
+            kept.append(PatternVector(session.client_id, tuple(bits)))
         else:
             dropped += 1
     return kept, dropped

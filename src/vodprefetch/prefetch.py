@@ -70,8 +70,8 @@ class SweepPoint(NamedTuple):
 def _train_fresh(
     config: Art1Config, patterns: list[tuple[int, ...]], force_assign: bool, label: str
 ) -> tuple[Art1Network, Assignment, None] | tuple[None, None, str]:
-    """Train a fresh network: (network, assignment, None), or (None, None, the
-    CapacityError text). Logs that error, or a non-convergence warning, under `label`."""
+    """Train a fresh network: (network, assignment, None), or (None, None, the CapacityError
+    text). Logs that error, or warnings for non-convergence and fallbacks, under `label`."""
     net = init_network(config)
     try:
         assignment = train(net, patterns, force_assign=force_assign)
@@ -80,6 +80,11 @@ def _train_fresh(
         return None, None, str(exc)
     if not assignment.converged:
         log.warning("%s: training did not converge in %d epochs", label, assignment.epochs)
+    # Only a force-assign fallback ends in a cluster it was rejected by.
+    fallbacks = sum(c in r for c, r in zip(assignment.clusters, assignment.rejections))
+    if fallbacks:
+        log.warning("%s: %d of %d presentations in the last epoch fell back to the closest"
+                    " cluster (--force-assign)", label, fallbacks, len(patterns))
     return net, assignment, None
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import vodprefetch.cli as cli
-import vodprefetch.patterns as patterns_module
+import vodprefetch.prefetch as prefetch
 from vodprefetch.art1 import Art1Config, init_network, load_snapshot, render_snapshot, train
 from vodprefetch.cli import (
     EXIT_CAPACITY,
@@ -797,7 +797,8 @@ def test_each_session_is_extracted_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     extracted = []
-    recording(patterns_module, "extract_pattern", lambda args, _: extracted.append(args[0]))
+    for module in (cli, prefetch):
+        recording(module, "patterns_for_sessions", lambda args, _: extracted.extend(args[0]))
     recording(cli, "segment_sessions", lambda _, sessions: found.update(sessions=sessions))
     recording(cli, "group_sessions_by_window", lambda _, windows: found.update(windows=windows))
     text = SMALL_INI.replace("num_session_windows = 2", "num_session_windows = 4")
@@ -834,6 +835,26 @@ def test_force_assign_recovers_capacity(tmp_path):
     assert code == EXIT_OK
     lines = (out / "cluster_counts.csv").read_text().splitlines()
     assert lines == ["vigilance,clusters", "0,1", "0.5,1"]
+
+
+def test_force_assign_fallbacks_are_logged_per_training(tmp_path, caplog):
+    out = tmp_path / "out"
+    argv = ["--config", write_ini(tmp_path), "--out", str(out),
+            "--max-clusters", "1", "--sweep", "0 0.5", "--force-assign"]
+    assert main(argv) == EXIT_OK
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    # Vigilance 0 passes every pattern; the final training repeats 0.4.
+    assert warnings == [
+        f"{label}: {n} of {n} presentations in the last epoch fell back to the closest"
+        " cluster (--force-assign)"
+        for label, n in (("window 0", 10), ("vigilance 0.5", 20), ("vigilance 0.4", 20))
+    ]
+
+
+def test_force_assign_without_fallbacks_logs_no_warning(tmp_path, caplog):
+    out = tmp_path / "out"
+    assert main(["--config", write_ini(tmp_path), "--out", str(out), "--force-assign"]) == EXIT_OK
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
 def test_unconverged_trainings_warn_once_each(tmp_path, caplog):

@@ -369,13 +369,6 @@ def test_segmentation_rejects_timestamps_outside_int64(timestamp):
         segment_sessions(events)
 
 
-def test_iter_events_stores_each_id_once():
-    lines = ["c1 u1 10 v1 200 5", "c1 u1 20 v1 200 5", "v1 u1 30 c1 200 5"]
-    first, second, third = iter_events(lines)
-    assert first[0] is second[0] is third[2]
-    assert first[2] is second[2] is third[0]
-
-
 # --- session segmentation ---
 
 
@@ -503,6 +496,23 @@ def test_segmentation_keeps_at_most_24_bytes_per_event():
     kept = sum(len(session.videos) for session in sessions)
     assert kept >= 25_000
     assert held <= 24 * kept, (held, kept)
+
+
+@pytest.mark.parametrize(
+    "read", [iter_events, lambda lines: preprocess(parse_log_lines(lines))],
+    ids=["iter_events", "preprocess"],
+)
+def test_sessions_hold_one_string_per_id(read):
+    # Ids of several characters, which CPython does not share by itself;
+    # each client's five lines make three sessions.
+    lines = [f"client-{c} u1 {t} video-{t % 3} 200 5"
+             for c in "ab" for t in (10, 20, 5000, 5010, 9000)]
+    sessions = segment_sessions(read(lines))
+    assert len(sessions) == 6
+    videos = [video for session in sessions for video in session.videos]
+    assert len(set(map(id, videos))) == len(set(videos)) == 3
+    clients = [session.client_id for session in sessions]
+    assert len(set(map(id, clients))) == len(set(clients)) == 2
 
 
 def test_segmentation_splits_on_large_gap():

@@ -50,8 +50,7 @@ EXPORTED_NAMES = {
              "iter_events", "parse_log_file", "parse_log_lines", "preprocess",
              "segment_sessions"),
     "patterns": ("BaseVector", "PatternVector", "UnknownVideoError", "build_base_vector",
-                 "extract_pattern", "patterns_for_sessions", "render_pattern_matrix",
-                 "write_pattern_matrix"),
+                 "patterns_for_sessions", "render_pattern_matrix", "write_pattern_matrix"),
     "prefetch": ("CacheMetrics", "EvaluationResult", "build_plan", "evaluate_plan",
                  "member_weighted_accuracy", "render_metrics_csv", "sliding_run",
                  "write_metrics_csv"),

@@ -8,7 +8,6 @@ from vodprefetch.patterns import (
     BaseVector,
     UnknownVideoError,
     build_base_vector,
-    extract_pattern,
     patterns_for_sessions,
     render_pattern_matrix,
 )
@@ -45,28 +44,30 @@ def test_base_vector_rejects_duplicate_urls():
 def test_extract_pattern_frequency_threshold():
     session = make_session("c1", [(0, "v1"), (1, "v1"), (2, "v1"), (3, "v2")])
     base = build_base_vector(list(session.events))
-    pattern = extract_pattern(session, base, freq_threshold=2)
+    (pattern,), dropped = patterns_for_sessions([session], base, freq_threshold=2)
     assert pattern.bits == (1, 0)
     assert pattern.client_id == "c1"
+    assert dropped == 0
 
 
 def test_extract_pattern_threshold_one_marks_any_request():
     session = make_session("c1", [(0, "v1"), (1, "v2")])
     base = build_base_vector(list(session.events))
-    assert extract_pattern(session, base, freq_threshold=1).bits == (1, 1)
+    (pattern,), _ = patterns_for_sessions([session], base, freq_threshold=1)
+    assert pattern.bits == (1, 1)
 
 
 def test_extract_pattern_all_below_threshold():
     session = make_session("c1", [(0, "v1"), (1, "v2")])
     base = build_base_vector(list(session.events))
-    assert extract_pattern(session, base, freq_threshold=2).bits == (0, 0)
+    assert patterns_for_sessions([session], base, freq_threshold=2) == ([], 1)
 
 
 def test_extract_pattern_unknown_video():
     session = make_session("c1", [(0, "v1"), (1, "vX")])
     base = build_base_vector([make_event("c1", 0, "v1")])
     with pytest.raises(UnknownVideoError) as err:
-        extract_pattern(session, base)
+        patterns_for_sessions([session], base)
     assert err.value.video_id == "vX"
     assert "vX" in str(err.value)
 
@@ -75,7 +76,19 @@ def test_extract_pattern_rejects_bad_threshold():
     session = make_session("c1", [(0, "v1")])
     base = build_base_vector(list(session.events))
     with pytest.raises(ValueError):
-        extract_pattern(session, base, freq_threshold=0)
+        patterns_for_sessions([session], base, freq_threshold=0)
+
+
+def test_bad_threshold_is_rejected_without_sessions():
+    base = build_base_vector([make_event("c1", 0, "v1")])
+    with pytest.raises(ValueError, match="^freq_threshold must be >= 1$"):
+        patterns_for_sessions([], base, 0)
+
+
+def bits_of(session, base):
+    """The session's pattern bits, all zeros when its pattern is dropped."""
+    kept, _ = patterns_for_sessions([session], base)
+    return kept[0].bits if kept else (0,) * base.size
 
 
 def test_extract_pattern_order_invariance():
@@ -84,11 +97,11 @@ def test_extract_pattern_order_invariance():
     for _ in range(50):
         requests = [(t, f"v{rng.randrange(6)}") for t in range(rng.randrange(1, 20))]
         session = make_session("c1", requests)
-        reference = extract_pattern(session, base).bits
+        reference = bits_of(session, base)
         shuffled = list(requests)
         rng.shuffle(shuffled)
         shuffled = [(t, v) for t, (_, v) in zip(range(len(shuffled)), shuffled)]
-        assert extract_pattern(make_session("c1", shuffled), base).bits == reference
+        assert bits_of(make_session("c1", shuffled), base) == reference
 
 
 def test_extract_pattern_duplicates_never_clear_bits():
@@ -96,9 +109,9 @@ def test_extract_pattern_duplicates_never_clear_bits():
     base = build_base_vector([make_event("c", i, f"v{i}") for i in range(5)])
     for _ in range(50):
         requests = [(t, f"v{rng.randrange(5)}") for t in range(rng.randrange(1, 12))]
-        before = extract_pattern(make_session("c1", requests), base).bits
+        before = bits_of(make_session("c1", requests), base)
         extra = requests + [(len(requests), requests[rng.randrange(len(requests))][1])]
-        after = extract_pattern(make_session("c1", extra), base).bits
+        after = bits_of(make_session("c1", extra), base)
         assert all(b >= a for a, b in zip(before, after))
 
 

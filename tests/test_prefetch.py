@@ -375,9 +375,18 @@ def _outcome(label, assignment, error):
     """What the pipeline's training helper should log for one training."""
     if error is not None:
         return [("ERROR", f"{label}: {error}")]
-    if assignment.converged:
-        return []
-    return [("WARNING", f"{label}: training did not converge in {assignment.epochs} epochs")]
+    logged = []
+    if not assignment.converged:
+        logged.append(
+            ("WARNING", f"{label}: training did not converge in {assignment.epochs} epochs")
+        )
+    # A force-assign fallback ends in a cluster that rejected it.
+    fallbacks = sum(c in r for c, r in zip(assignment.clusters, assignment.rejections))
+    if fallbacks:
+        logged.append(("WARNING", f"{label}: {fallbacks} of {len(assignment.clusters)}"
+                       " presentations in the last epoch fell back to the closest cluster"
+                       " (--force-assign)"))
+    return logged
 
 
 pattern_sets = st.integers(1, 6).flatmap(
@@ -422,6 +431,19 @@ def test_sweep_equals_direct_trainings(case, grid, max_clusters, max_epochs, for
             assert point.network is None and point.clusters is None
         expected += _outcome(f"vigilance {value:g}", assignment, error)
     assert logged == expected
+
+
+def test_force_assign_fallbacks_warn_once_per_training():
+    # One cluster at vigilance 0.9: (1, 1, 0) founds it, (1, 0, 1) falls back
+    # and shrinks it to (1, 0, 0), which (1, 0, 0) then passes. In the second
+    # and last epoch the first two fall back. At 0.4 every pattern passes.
+    patterns = [(1, 1, 0), (1, 0, 1), (1, 0, 0)]
+    with _Logged() as logged:
+        points = sweep_vigilance(patterns, (0.4, 0.9), input_dim=3, max_clusters=1,
+                                 force_assign=True)
+    assert [point.clusters for point in points] == [1, 1]
+    assert logged == [("WARNING", "vigilance 0.9: 2 of 3 presentations in the last epoch"
+                                  " fell back to the closest cluster (--force-assign)")]
 
 
 def test_sweep_rejects_empty_grid():
