@@ -41,30 +41,31 @@ class _Art1Fields(NamedTuple):
     input_dim: int
     vigilance: float
     max_clusters: int
-    max_epochs: int
+    max_epochs: int = DEFAULT_MAX_EPOCHS
+    force_assign: bool = False
 
 
 class Art1Config(_Art1Fields):
-    """Network shape and training limits, checked when built."""
+    """Network shape and training rules, checked when built.
+
+    With `force_assign`, a pattern that every allowed cluster rejects goes to
+    the closest one instead of raising CapacityError. Snapshots keep neither
+    it nor `max_epochs`.
+    """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        input_dim: int,
-        vigilance: float,
-        max_clusters: int,
-        max_epochs: int = DEFAULT_MAX_EPOCHS,
-    ) -> Art1Config:
-        if input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {input_dim}")
-        if not 0.0 <= vigilance <= 1.0:
-            raise ValueError(f"vigilance must be in [0, 1], got {vigilance}")
-        if max_clusters < 1:
-            raise ValueError(f"max_clusters must be >= 1, got {max_clusters}")
-        if max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
-        return super().__new__(cls, input_dim, vigilance, max_clusters, max_epochs)
+    def __new__(cls, *args, **kwargs) -> Art1Config:
+        config = super().__new__(cls, *args, **kwargs)
+        if config.input_dim < 1:
+            raise ValueError(f"input_dim must be >= 1, got {config.input_dim}")
+        if not 0.0 <= config.vigilance <= 1.0:
+            raise ValueError(f"vigilance must be in [0, 1], got {config.vigilance}")
+        if config.max_clusters < 1:
+            raise ValueError(f"max_clusters must be >= 1, got {config.max_clusters}")
+        if config.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {config.max_epochs}")
+        return config
 
 
 class Art1Network:
@@ -174,7 +175,7 @@ def _learn(protos: list[int], tables: list[tuple[float, ...]], j: int, x: int) -
 
 
 def _present(
-    net: Art1Network, tables: list[tuple[float, ...]], x: int, force_assign: bool
+    net: Art1Network, tables: list[tuple[float, ...]], x: int
 ) -> tuple[int, tuple[int, ...]]:
     # tables[j] is _match_table(|t_j|) for prototype j; _learn and cluster
     # creation keep it in step with net.prototypes.
@@ -212,8 +213,10 @@ def _present(
     # closest one is the lowest-index maximum overlap.
     best = max(overlaps)
     best_cluster = overlaps.index(best)
-    if force_assign:
-        _learn(protos, tables, best_cluster, x)
+    if net.config.force_assign:
+        # With no shared bit, learning would leave an all-zero prototype.
+        if best:
+            _learn(protos, tables, best_cluster, x)
         return best_cluster, rejected
     raise CapacityError(best_cluster, best / size)
 
@@ -224,26 +227,24 @@ def present_pattern(net: Art1Network, pattern: Sequence[int]) -> int:
     Clusters are tried in one pass from the best match down, ties to the
     lowest index, until one passes vigilance; each failure is a reset. When no
     candidate is left, a new cluster is created from the pattern if the cap
-    allows, otherwise CapacityError reports the closest rejected cluster.
+    allows. Otherwise, under config.force_assign, the pattern joins the
+    closest rejected cluster, which learns it only when they share a bit;
+    without it, CapacityError reports that cluster.
     """
     x = _to_mask(pattern, net.config.input_dim)
     if not x:
         raise ValueError("cannot present an all-zero pattern")
-    index, _ = _present(net, _tables(net.prototypes), x, False)
+    index, _ = _present(net, _tables(net.prototypes), x)
     return index
 
 
-def train(
-    net: Art1Network,
-    patterns: Sequence[Sequence[int]],
-    *,
-    force_assign: bool = False,
-) -> Assignment:
+def train(net: Art1Network, patterns: Sequence[Sequence[int]]) -> Assignment:
     """Present every pattern repeatedly until assignments stabilise.
 
     Full passes run until two consecutive epochs produce identical
     assignments or config.max_epochs is reached; max_epochs=1 gives a
-    plain single pass. `converged` reports which way the loop ended.
+    plain single pass. `converged` reports which way the loop ended. Each
+    presentation follows present_pattern, config.force_assign included.
     """
     masks = []
     for k, pattern in enumerate(patterns):
@@ -259,7 +260,7 @@ def train(
         clusters: list[int] = []
         rejections: list[tuple[int, ...]] = []
         for x in masks:
-            index, rejected = _present(net, tables, x, force_assign)
+            index, rejected = _present(net, tables, x)
             clusters.append(index)
             rejections.append(rejected)
         if clusters == previous:

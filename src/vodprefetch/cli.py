@@ -77,8 +77,8 @@ def _validate(config: argparse.Namespace) -> None:
         raise UsageError("max_clusters must be >= 0")
     if config.max_epochs < 1:
         raise UsageError("max_epochs must be >= 1")
-    if config.log_format not in ("whitespace", "csv"):
-        raise UsageError(f"unknown log format {config.log_format!r}")
+    if config.format not in ("whitespace", "csv"):
+        raise UsageError(f"unknown log format {config.format!r}")
 
 
 def render_cluster_counts(points: list[SweepPoint]) -> str:
@@ -96,7 +96,7 @@ def run(config: argparse.Namespace) -> int:
     setting under its name in _build_parser, and `workload`, the
     generator's WorkloadConfig, which generated mode always has.
     """
-    out = config.out_dir or os.curdir
+    out = config.out or os.curdir
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -106,7 +106,7 @@ def run(config: argparse.Namespace) -> int:
     if config.source == "generated":
         source, delimiter = _write_generated_trace(config.workload, out), None
     else:
-        source, delimiter = config.source, "," if config.log_format == "csv" else None
+        source, delimiter = config.source, "," if config.format == "csv" else None
     # The log streams into the sessions: no list of its events is built.
     # utf-8-sig drops a leading byte-order mark.
     try:
@@ -150,10 +150,11 @@ def run(config: argparse.Namespace) -> int:
         results = sliding_run(
             windows,
             base,
-            Art1Config(base.size, config.vigilance, max_clusters, config.max_epochs),
+            Art1Config(
+                base.size, config.vigilance, max_clusters, config.max_epochs, config.force_assign
+            ),
             patterns=window_patterns,
             history_windows=config.history_windows,
-            force_assign=config.force_assign,
         )
         log.info(
             "member-weighted prefetch accuracy %.4f over %d windows",
@@ -240,9 +241,9 @@ def _build_parser() -> _Parser:
     add("--config", help="INI experiment config file")
     add("--input", dest="source", default="generated", metavar="PATH",
         help="replay this log file instead of generating a trace")
-    add("--csv", dest="log_format", action="store_const", const="csv", default="whitespace",
+    add("--csv", dest="format", action="store_const", const="csv", default="whitespace",
         help="input log fields are comma separated")
-    add("--out", dest="out_dir", default="out", metavar="DIR",
+    add("--out", default="out", metavar="DIR",
         help="output directory (default: out)")
     add("--vigilance", type=float, default=0.4, help="vigilance threshold in [0, 1]")
     add("--sweep", type=_parse_float_list, default=DEFAULT_SWEEP,
@@ -294,13 +295,12 @@ def _parse_hour_key(key: str) -> list[int]:
 
 
 # The [experiment] and [clustering] keys. Each sets the setting of its own
-# name in _build_parser, apart from the two that _KEY_DEST renames.
+# name in _build_parser.
 _SECTION_KEYS = {
     "experiment": ("source", "format", "out", "seed", "maximum_idle_time", "freq_threshold",
                    "window_spacing", "history_windows", "dump_patterns", "force_assign"),
     "clustering": ("vigilance", "max_clusters", "max_epochs", "sweep"),
 }
-_KEY_DEST = {"format": "log_format", "out": "out_dir"}
 
 
 def _load_config_file(path: str, parser: _Parser) -> dict:
@@ -338,14 +338,13 @@ def _load_config_file(path: str, parser: _Parser) -> dict:
             for key, raw in ini[section].items():
                 if key not in keys:
                     raise UsageError(f"bad config {path}: unknown [{section}] key {key!r}")
-                dest = _KEY_DEST.get(key, key)
-                default = parser.get_default(dest)
+                default = parser.get_default(key)
                 if isinstance(default, bool):
-                    settings[dest] = ini.getboolean(section, key)
+                    settings[key] = ini.getboolean(section, key)
                 elif isinstance(default, tuple):
-                    settings[dest] = _config_float_list(section, key, raw)
+                    settings[key] = _config_float_list(section, key, raw)
                 else:
-                    settings[dest] = type(default)(raw)
+                    settings[key] = type(default)(raw)
         workload_kwargs = {}
         if ini.has_section("workload"):
             # Every WorkloadConfig number except those [experiment] and

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .fileio import atomic_write
 from .logs import AccessEvent, Session
@@ -20,13 +20,12 @@ class UnknownVideoError(ValueError):
 
 
 class BaseVector(NamedTuple):
-    """Ordered universe of video URLs; defines the pattern index space.
+    """Ordered universe of distinct video URLs; URL i is pattern bit i.
 
-    `index_of` maps each URL to its position; build one with from_urls.
+    Build one with from_urls, which rejects duplicates.
     """
 
     urls: tuple[str, ...]
-    index_of: Mapping[str, int]
 
     @property
     def size(self) -> int:
@@ -35,10 +34,9 @@ class BaseVector(NamedTuple):
     @staticmethod
     def from_urls(urls: Iterable[str]) -> "BaseVector":
         ordered = tuple(urls)
-        index = {url: i for i, url in enumerate(ordered)}
-        if len(index) != len(ordered):
+        if len(set(ordered)) != len(ordered):
             raise ValueError("base vector URLs must be distinct")
-        return BaseVector(ordered, index)
+        return BaseVector(ordered)
 
 
 def build_base_vector(corpus: Sequence[AccessEvent | Session]) -> BaseVector:
@@ -76,7 +74,8 @@ def patterns_for_sessions(
     """
     if freq_threshold < 1:
         raise ValueError("freq_threshold must be >= 1")
-    index_of, size = base.index_of, base.size
+    index_of = {url: i for i, url in enumerate(base.urls)}
+    size = base.size
     kept: list[PatternVector] = []
     dropped = 0
     for session in sessions:

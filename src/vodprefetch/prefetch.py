@@ -68,13 +68,13 @@ class SweepPoint(NamedTuple):
 
 
 def _train_fresh(
-    config: Art1Config, patterns: list[tuple[int, ...]], force_assign: bool, label: str
+    config: Art1Config, patterns: list[tuple[int, ...]], label: str
 ) -> tuple[Art1Network, Assignment, None] | tuple[None, None, str]:
     """Train a fresh network: (network, assignment, None), or (None, None, the CapacityError
     text). Logs that error, or warnings for non-convergence and fallbacks, under `label`."""
     net = init_network(config)
     try:
-        assignment = train(net, patterns, force_assign=force_assign)
+        assignment = train(net, patterns)
     except CapacityError as exc:
         log.error("%s: %s", label, exc)
         return None, None, str(exc)
@@ -144,7 +144,6 @@ def sliding_run(
     *,
     patterns: Sequence[list[PatternVector]] | None = None,
     history_windows: int = 0,
-    force_assign: bool = False,
 ) -> list[tuple[int, EvaluationResult]]:
     """Re-cluster at the end of every window and score against the next one.
 
@@ -161,7 +160,7 @@ def sliding_run(
     usable patterns yield an empty result; a window whose training runs
     out of clusters records the error on its result and the remaining
     windows still run. Each training runs through `_train_fresh`, labelled
-    `window W`.
+    `window W`, under `art_config` (its force_assign rule included).
 
     It trains on `patterns`, the kept patterns of each window in window
     order, as the caller extracted them; every history that includes a
@@ -184,7 +183,7 @@ def sliding_run(
             results.append((w, EvaluationResult((), ())))
             continue
         bits = [p.bits for p in history]
-        net, assignment, error = _train_fresh(art_config, bits, force_assign, f"window {w}")
+        net, assignment, error = _train_fresh(art_config, bits, f"window {w}")
         if error is not None:
             results.append((w, EvaluationResult((), (), error)))
             continue
@@ -214,8 +213,8 @@ def sweep_vigilance(
         raise ValueError("sweep grid must not be empty")
     points = []
     for value in grid:
-        config = Art1Config(input_dim, value, max_clusters, max_epochs)
-        net, _, error = _train_fresh(config, patterns, force_assign, f"vigilance {value:g}")
+        config = Art1Config(input_dim, value, max_clusters, max_epochs, force_assign)
+        net, _, error = _train_fresh(config, patterns, f"vigilance {value:g}")
         points.append(SweepPoint(value, error, net))
     return points
 

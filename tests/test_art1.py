@@ -251,10 +251,18 @@ def test_capacity_error_reports_best_candidate():
 
 
 def test_force_assign_commits_best_cluster():
-    net = net_with(vigilance=1.0, dim=2, cap=1)
-    assignment = train(net, [(1, 0), (0, 1)], force_assign=True)
+    net = init_network(Art1Config(2, 1.0, 1, force_assign=True))
+    assignment = train(net, [(1, 0), (0, 1)])
     assert assignment.clusters == (0, 0)
-    assert net.top_down == [[0, 0]]  # AND of disjoint patterns
+    assert net.top_down == [[1, 0]]  # a disjoint fallback does not learn
+
+
+def test_present_pattern_follows_force_assign():
+    # One cluster at vigilance 1: (0, 1, 1) falls back and shrinks it to
+    # (0, 1, 0); (1, 0, 1) shares no bit with it, falls back and leaves it.
+    net = init_network(Art1Config(3, 1.0, 1, force_assign=True))
+    assert [present_pattern(net, p) for p in [(1, 1, 0), (0, 1, 1), (1, 0, 1)]] == [0, 0, 0]
+    assert net.top_down == [[0, 1, 0]]
 
 
 # --- training ---

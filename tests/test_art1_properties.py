@@ -179,6 +179,7 @@ def _straight_line_train(
                     break
                 rejected.append(winner)
                 tested.append((value, winner))
+            learns = True
             if winner is None:
                 if len(prototypes) < max_clusters:
                     prototypes.append(list(x))
@@ -188,7 +189,10 @@ def _straight_line_train(
                     winner = min(j for v, j in tested if v == best)
                     if not force_assign:
                         return clusters, rejections, prototypes, (winner, best)
-            prototypes[winner] = [a & b for a, b in zip(prototypes[winner], x)]
+                    # A fallback that shares no bit with its cluster does not learn.
+                    learns = best > 0
+            if learns:
+                prototypes[winner] = [a & b for a, b in zip(prototypes[winner], x)]
             clusters.append(winner)
             rejections.append(tuple(rejected))
         if clusters == previous:
@@ -208,12 +212,12 @@ def _straight_line_train(
 @settings(max_examples=500, deadline=None)
 def test_search_order_matches_straight_line_scan(case_cap, vigilance, epochs, force):
     (dim, patterns), cap = case_cap
-    net = init_network(Art1Config(dim, vigilance, cap, epochs))
+    net = init_network(Art1Config(dim, vigilance, cap, epochs, force))
     clusters, rejections, prototypes, capacity = _straight_line_train(
         patterns, vigilance, cap, epochs, force
     )
     try:
-        assignment = train(net, patterns, force_assign=force)
+        assignment = train(net, patterns)
     except CapacityError as exc:
         assert capacity == (exc.best_cluster, exc.best_similarity)
     else:
@@ -221,6 +225,22 @@ def test_search_order_matches_straight_line_scan(case_cap, vigilance, epochs, fo
         assert list(assignment.clusters) == clusters
         assert list(assignment.rejections) == rejections
     assert net.top_down == prototypes
+
+
+@given(
+    pattern_sets().flatmap(lambda case: st.tuples(st.just(case), st.integers(1, len(case[1])))),
+    vigilances.filter(bool),
+    st.integers(1, 5),
+)
+@settings(max_examples=300, deadline=None)
+def test_force_assign_never_empties_a_prototype(case_cap, vigilance, epochs):
+    # Above vigilance 0 a passing pattern shares a bit with its cluster, so
+    # only a fallback could empty a prototype. (At vigilance 0 a disjoint
+    # pattern passes and learns, as in the reference.)
+    (dim, patterns), cap = case_cap
+    net = init_network(Art1Config(dim, vigilance, cap, epochs, force_assign=True))
+    train(net, patterns)
+    assert all(net.prototypes)
 
 
 def _wide_patterns(seed, count):
@@ -241,13 +261,13 @@ def _wide_patterns(seed, count):
     return dim, patterns
 
 
-def _assert_train_matches_straight_line(net, patterns, force):
+def _assert_train_matches_straight_line(net, patterns):
     cfg = net.config
     clusters, rejections, prototypes, capacity = _straight_line_train(
-        patterns, cfg.vigilance, cfg.max_clusters, cfg.max_epochs, force, net.top_down
+        patterns, cfg.vigilance, cfg.max_clusters, cfg.max_epochs, cfg.force_assign, net.top_down
     )
     try:
-        assignment = train(net, patterns, force_assign=force)
+        assignment = train(net, patterns)
     except CapacityError as exc:
         assert capacity == (exc.best_cluster, exc.best_similarity)
     else:
@@ -265,8 +285,8 @@ def test_wide_patterns_match_straight_line(epochs, capped, force):
     seed = 10 * epochs + 2 * capped + force
     dim, patterns = _wide_patterns(seed, 100)
     cap = 30 if capped else len(patterns)
-    net = init_network(Art1Config(dim, 0.6, cap, epochs))
-    capacity, rejections = _assert_train_matches_straight_line(net, patterns, force)
+    net = init_network(Art1Config(dim, 0.6, cap, epochs, force))
+    capacity, rejections = _assert_train_matches_straight_line(net, patterns)
     # The data must exercise what the test is for: many clusters, and
     # many resets in a first epoch or an exhausted cap.
     if capped:
@@ -283,13 +303,16 @@ def test_train_resumes_from_existing_clusters(tmp_path, capped):
     dim, patterns = _wide_patterns(7, 120)
     first, second = patterns[:60], patterns[60:]
     cap = 25 if capped else len(patterns)
-    net = init_network(Art1Config(dim, 0.6, cap, 2))
-    train(net, first, force_assign=True)
+    net = init_network(Art1Config(dim, 0.6, cap, 2, force_assign=True))
+    train(net, first)
     path = tmp_path / "net.snapshot"
     save_snapshot(net, path)
     loaded = load_snapshot(path)
     assert loaded.prototypes == net.prototypes
+    # Like max_epochs, force_assign is not in the snapshot.
+    assert not loaded.config.force_assign
+    loaded.config = loaded.config._replace(force_assign=True)
     # A second train call on the same network, and one on the reloaded copy,
     # both start their search from the prototypes already learned.
-    _assert_train_matches_straight_line(net, second, True)
-    _assert_train_matches_straight_line(loaded, second, True)
+    _assert_train_matches_straight_line(net, second)
+    _assert_train_matches_straight_line(loaded, second)

@@ -179,7 +179,7 @@ def test_empty_sweep_grid_is_usage_error(tmp_path, capsys, text, flags, message)
 # sets, its flag, a non-default value for the file and another for the flag.
 VALUE_SETTINGS = [
     ("experiment", "source", "source", "--input", "file.log", "flag.log"),
-    ("experiment", "out", "out_dir", "--out", "file_out", "flag_out"),
+    ("experiment", "out", "out", "--out", "file_out", "flag_out"),
     ("experiment", "seed", "seed", "--seed", 11, 12),
     ("experiment", "maximum_idle_time", "maximum_idle_time", "--session-idle", 900, 600),
     ("experiment", "freq_threshold", "freq_threshold", "--freq-threshold", 3, 4),
@@ -193,7 +193,7 @@ VALUE_SETTINGS = [
 # The keys whose flag is a switch: the setting, the switch, the value the
 # switch sets and the default.
 SWITCH_SETTINGS = [
-    ("experiment", "format", "log_format", "--csv", "csv", "whitespace"),
+    ("experiment", "format", "format", "--csv", "csv", "whitespace"),
     ("experiment", "dump_patterns", "dump_patterns", "--dump-patterns", True, False),
     ("experiment", "force_assign", "force_assign", "--force-assign", True, False),
 ]
@@ -213,6 +213,15 @@ def render_ini(entries):
         lines.append(f"[{section}]")
         lines += [f"{key} = {as_text(value)}" for sec, key, value in entries if sec == section]
     return "\n".join(lines) + "\n"
+
+
+def test_config_keys_are_the_settings_names():
+    # A key reaches the setting of its own name, so no renaming table sits
+    # between the file and the parser.
+    parser = cli._build_parser()
+    for keys in cli._SECTION_KEYS.values():
+        for key in keys:
+            assert parser.get_default(key) is not None, key
 
 
 def test_flags_override_config_file_over_defaults(tmp_path, run_configs):

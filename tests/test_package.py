@@ -142,7 +142,9 @@ def test_art1_config_error_texts(kwargs, message):
 def test_art1_config_keeps_its_defaults_and_name():
     config = Art1Config(input_dim=4, vigilance=0.5, max_clusters=3)
     assert config.max_epochs == 10
-    assert repr(config) == "Art1Config(input_dim=4, vigilance=0.5, max_clusters=3, max_epochs=10)"
+    assert repr(config) == (
+        "Art1Config(input_dim=4, vigilance=0.5, max_clusters=3, max_epochs=10, force_assign=False)"
+    )
 
 
 def test_cache_metrics_error_text():

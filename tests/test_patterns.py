@@ -19,7 +19,6 @@ def test_base_vector_sorted_distinct():
     events = [make_event("c", t, v) for t, v in [(0, "v2"), (1, "v1"), (2, "v2")]]
     base = build_base_vector(events)
     assert base.urls == ("v1", "v2")
-    assert base.index_of == {"v1": 0, "v2": 1}
     assert base.size == 2
 
 

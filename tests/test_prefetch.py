@@ -362,11 +362,11 @@ class _Logged(logging.Handler):
         logging.getLogger("vodprefetch.prefetch").removeHandler(self)
 
 
-def _direct_training(config, bits, force_assign):
+def _direct_training(config, bits):
     """init_network + train, as the pipeline's own helper should run them."""
     net = init_network(config)
     try:
-        return net, train(net, bits, force_assign=force_assign), None
+        return net, train(net, bits), None
     except CapacityError as exc:
         return None, None, str(exc)
 
@@ -420,8 +420,8 @@ def test_sweep_equals_direct_trainings(case, grid, max_clusters, max_epochs, for
         )
     expected = []
     for point, value in zip(points, grid, strict=True):
-        config = Art1Config(dim, value, max_clusters, max_epochs)
-        net, assignment, error = _direct_training(config, patterns, force_assign)
+        config = Art1Config(dim, value, max_clusters, max_epochs, force_assign)
+        net, assignment, error = _direct_training(config, patterns)
         assert (point.vigilance, point.error) == (value, error)
         if error is None:
             assert point.network.config == config
@@ -480,7 +480,7 @@ def test_sliding_run_equals_direct_trainings(seed, history_windows):
         if not patterns:
             assert result == EvaluationResult((), ())
             continue
-        net, assignment, error = _direct_training(config, [p.bits for p in patterns], False)
+        net, assignment, error = _direct_training(config, [p.bits for p in patterns])
         expected += _outcome(f"window {w}", assignment, error)
         if error is not None:
             assert result == EvaluationResult((), (), error)
