@@ -17,8 +17,9 @@ accumulated in ascending index order.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import cache
-from typing import NamedTuple, Sequence
 
 from .fileio import atomic_write
 
@@ -37,15 +38,10 @@ class CapacityError(RuntimeError):
         self.best_similarity = best_similarity
 
 
-class _Art1Fields(NamedTuple):
-    input_dim: int
-    vigilance: float
-    max_clusters: int
-    max_epochs: int = DEFAULT_MAX_EPOCHS
-    force_assign: bool = False
-
-
-class Art1Config(_Art1Fields):
+class Art1Config(
+    namedtuple("Art1Config", "input_dim vigilance max_clusters max_epochs force_assign",
+               defaults=(DEFAULT_MAX_EPOCHS, False))
+):
     """Network shape and training rules, checked when built.
 
     With `force_assign`, a pattern that every allowed cluster rejects goes to
@@ -92,18 +88,15 @@ class Art1Network:
         return [_weight_row(t, dim) for t in self.prototypes]
 
 
-class Assignment(NamedTuple):
+class Assignment(namedtuple("Assignment", "clusters rejections converged epochs")):
     """Final pattern-to-cluster mapping with per-pattern vigilance rejections.
 
     `clusters[k]` is the cluster of pattern k after the last epoch and
-    `rejections[k]` lists the clusters that won the match but failed the
+    `rejections[k]` is the tuple of clusters that won the match but failed the
     vigilance test for pattern k during that epoch, in rejection order.
     """
 
-    clusters: tuple[int, ...]
-    rejections: tuple[tuple[int, ...], ...]
-    converged: bool
-    epochs: int
+    __slots__ = ()
 
 
 def init_network(config: Art1Config) -> Art1Network:
@@ -118,9 +111,10 @@ def _to_mask(pattern: Sequence[int], dim: int, name: str = "pattern") -> int:
     """Bitmask of a dense 0/1 pattern of length dim; all zeros give 0, which callers reject."""
     if len(pattern) != dim:
         raise ValueError(f"{name} has length {len(pattern)}, expected {dim}")
-    # Fast path: a pattern of small ints (or bytes) becomes one byte per
-    # element; when every byte is 0 or 1 they are the mask's digits. Any
-    # other pattern goes through the element loop, which names the bad entry.
+    # Fast path: a pattern of small ints becomes one byte per element, and a
+    # bytes pattern, as patterns_for_sessions makes, is used as it is; when
+    # every byte is 0 or 1 they are the mask's digits. Any other pattern goes
+    # through the element loop, which names the bad entry.
     try:
         raw = bytes(pattern)
     except (TypeError, ValueError):
@@ -281,9 +275,9 @@ def render_snapshot(net: Art1Network) -> str:
     lines = [f"{cfg.input_dim} {cfg.max_clusters} {cfg.vigilance:.17g} {net.active_clusters}"]
     for t in net.prototypes:
         digits = _digits(t, cfg.input_dim)
-        weight = f"{1.0 / (0.5 + t.bit_count()):.17g}"
         lines.append(digits)
-        lines.append(" ".join(weight if ch == "1" else "0" for ch in digits))
+        # replace never rescans what it inserts, so the weight's own 1s stay.
+        lines.append(" ".join(digits).replace("1", f"{1.0 / (0.5 + t.bit_count()):.17g}"))
     return "\n".join(lines) + "\n"
 
 

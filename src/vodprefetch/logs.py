@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import compress, count, repeat
 from operator import attrgetter, gt, itemgetter, sub
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
-
-if TYPE_CHECKING:
-    from .workload import LogRecord
 
 DEFAULT_MAX_IDLE_SECONDS = 1800
 # Sessions keep their timestamps as C int64s (array typecode "q").
@@ -36,12 +34,10 @@ def _check_record(client_id: str, timestamp: int, video_id: str, bytes_sent: int
         raise ValueError(f"negative bytes_sent {bytes_sent}")
 
 
-class AccessEvent(NamedTuple):
+class AccessEvent(namedtuple("AccessEvent", "client_id timestamp video_id")):
     """Reduced request record: client, time and video."""
 
-    client_id: str
-    timestamp: int
-    video_id: str
+    __slots__ = ()
 
     @property
     def videos(self) -> tuple[str]:
@@ -49,18 +45,16 @@ class AccessEvent(NamedTuple):
         return (self.video_id,)
 
 
-class Session(NamedTuple):
+class Session(namedtuple("Session", "client_id timestamps videos")):
     """A client's maximal run of events with bounded think time.
 
-    `timestamps` (an int64 `array("q")`) and `videos` are the columns of
-    its events: non-empty, of equal length and in time order (one string
-    per video id from `segment_sessions`). `start`/`end` are its first and
-    last timestamps; `events` builds the `AccessEvent`s on each read.
+    `timestamps` (an int64 `array("q")`) and `videos` (a tuple) are its
+    events' columns: non-empty, of equal length and in time order (one
+    string per video id from `segment_sessions`). `start`/`end` are its
+    first and last timestamps; `events` builds the `AccessEvent`s on each read.
     """
 
-    client_id: str
-    timestamps: array[int]
-    videos: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def start(self) -> int:
@@ -102,8 +96,8 @@ def _fields(
     return client_id, user_id, timestamp, video_id, status_code, bytes_sent
 
 
-def parse_log_lines(lines: Iterable[str], *, delimiter: str | None = None) -> list[LogRecord]:
-    """Parse a whole log; blank lines and '#' comment lines are skipped."""
+def parse_log_lines(lines: Iterable[str], *, delimiter: str | None = None) -> list:
+    """Parse a whole log into `workload.LogRecord`s; blank and '#' comment lines are skipped."""
     from .workload import LogRecord
 
     records = []
@@ -114,7 +108,7 @@ def parse_log_lines(lines: Iterable[str], *, delimiter: str | None = None) -> li
     return records
 
 
-def parse_log_file(path, *, delimiter: str | None = None) -> list[LogRecord]:
+def parse_log_file(path, *, delimiter: str | None = None) -> list:
     # utf-8-sig drops a leading byte-order mark, which would otherwise
     # stick to the first field of the first line.
     with open(path, "r", encoding="utf-8-sig") as handle:
@@ -160,8 +154,8 @@ def iter_events(
             yield client_id, timestamp, video_id
 
 
-def preprocess(records: Iterable[LogRecord]) -> list[AccessEvent]:
-    """Keep the requests of status 200 and drop unused fields."""
+def preprocess(records: Iterable) -> list[AccessEvent]:
+    """Keep the `workload.LogRecord`s of status 200 and drop unused fields."""
     return [
         AccessEvent(rec.client_id, rec.timestamp, rec.video_id)
         for rec in records

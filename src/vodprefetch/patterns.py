@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, NamedTuple, Sequence
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 
 from .fileio import atomic_write
 from .logs import AccessEvent, Session
@@ -19,13 +19,13 @@ class UnknownVideoError(ValueError):
         self.video_id = video_id
 
 
-class BaseVector(NamedTuple):
-    """Ordered universe of distinct video URLs; URL i is pattern bit i.
+class BaseVector(namedtuple("BaseVector", "urls")):
+    """Ordered universe of distinct video URLs, a tuple; URL i is pattern bit i.
 
     Build one with from_urls, which rejects duplicates.
     """
 
-    urls: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -53,11 +53,11 @@ def build_base_vector(corpus: Sequence[AccessEvent | Session]) -> BaseVector:
     return BaseVector.from_urls(sorted(videos))
 
 
-class PatternVector(NamedTuple):
-    """Binary request pattern of one session."""
+class PatternVector(namedtuple("PatternVector", "client_id bits")):
+    """Binary request pattern of one session: `bits` is one 0 or 1 per URL,
+    as `bytes` from patterns_for_sessions."""
 
-    client_id: str
-    bits: tuple[int, ...]
+    __slots__ = ()
 
 
 def patterns_for_sessions(
@@ -79,7 +79,7 @@ def patterns_for_sessions(
     kept: list[PatternVector] = []
     dropped = 0
     for session in sessions:
-        bits = [0] * size
+        bits = bytearray(size)
         for video_id, count in Counter(session.videos).items():
             index = index_of.get(video_id)
             if index is None:
@@ -87,7 +87,7 @@ def patterns_for_sessions(
             if count >= freq_threshold:
                 bits[index] = 1
         if 1 in bits:
-            kept.append(PatternVector(session.client_id, tuple(bits)))
+            kept.append(PatternVector(session.client_id, bytes(bits)))
         else:
             dropped += 1
     return kept, dropped

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import logging
-from collections import Counter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 
 from .art1 import DEFAULT_MAX_EPOCHS, Art1Config, Art1Network, Assignment, CapacityError
 from .art1 import init_network, train
@@ -17,14 +17,9 @@ log = logging.getLogger(__name__)
 METRICS_HEADER = "window,cluster,members,prefetched,hits,accuracy"
 
 
-class _CacheMetricsFields(NamedTuple):
-    cluster_index: int
-    member_count: int
-    prefetched_count: int
-    hits: int
-
-
-class CacheMetrics(_CacheMetricsFields):
+class CacheMetrics(
+    namedtuple("CacheMetrics", "cluster_index member_count prefetched_count hits")
+):
     """Prefetch score of one cluster; hits can never exceed what was prefetched.
 
     `accuracy` is hits over prefetched count, zero for an empty plan.
@@ -44,23 +39,22 @@ class CacheMetrics(_CacheMetricsFields):
         return self.hits / self.prefetched_count if self.prefetched_count else 0.0
 
 
-class EvaluationResult(NamedTuple):
-    """Scores of one window; `error` is set, with no metrics, when training failed."""
+class EvaluationResult(
+    namedtuple("EvaluationResult", "metrics unclustered_clients error", defaults=(None,))
+):
+    """Scores of one window: a tuple of CacheMetrics and one of the unclustered client
+    ids. `error`, the CapacityError text, is set, with no metrics, when training failed."""
 
-    metrics: tuple[CacheMetrics, ...]
-    unclustered_clients: tuple[str, ...]
-    error: str | None = None
+    __slots__ = ()
 
 
-class SweepPoint(NamedTuple):
-    """One vigilance grid point: its network when training succeeded, else the error.
+class SweepPoint(namedtuple("SweepPoint", "vigilance error network", defaults=(None, None))):
+    """One vigilance grid point: its Art1Network when training succeeded, else the error.
 
     `clusters` is the network's active cluster count, None without a network.
     """
 
-    vigilance: float
-    error: str | None = None
-    network: Art1Network | None = None
+    __slots__ = ()
 
     @property
     def clusters(self) -> int | None:
@@ -68,24 +62,32 @@ class SweepPoint(NamedTuple):
 
 
 def _train_fresh(
-    config: Art1Config, patterns: list[tuple[int, ...]], label: str
+    config: Art1Config, patterns: list[Sequence[int]], label: str
 ) -> tuple[Art1Network, Assignment, None] | tuple[None, None, str]:
     """Train a fresh network: (network, assignment, None), or (None, None, the CapacityError
-    text). Logs that error, or warnings for non-convergence and fallbacks, under `label`."""
+    text). `_log_training` reports the outcome under `label`."""
     net = init_network(config)
     try:
         assignment = train(net, patterns)
     except CapacityError as exc:
-        log.error("%s: %s", label, exc)
+        _log_training(label, None, str(exc))
         return None, None, str(exc)
+    _log_training(label, assignment, None)
+    return net, assignment, None
+
+
+def _log_training(label: str, assignment: Assignment | None, error: str | None) -> None:
+    """Log a training's error, or warnings for non-convergence and fallbacks, under `label`."""
+    if error is not None:
+        log.error("%s: %s", label, error)
+        return
     if not assignment.converged:
         log.warning("%s: training did not converge in %d epochs", label, assignment.epochs)
     # Only a force-assign fallback ends in a cluster it was rejected by.
     fallbacks = sum(c in r for c, r in zip(assignment.clusters, assignment.rejections))
     if fallbacks:
         log.warning("%s: %d of %d presentations in the last epoch fell back to the closest"
-                    " cluster (--force-assign)", label, fallbacks, len(patterns))
-    return net, assignment, None
+                    " cluster (--force-assign)", label, fallbacks, len(assignment.clusters))
 
 
 def build_plan(
@@ -160,7 +162,9 @@ def sliding_run(
     usable patterns yield an empty result; a window whose training runs
     out of clusters records the error on its result and the remaining
     windows still run. Each training runs through `_train_fresh`, labelled
-    `window W`, under `art_config` (its force_assign rule included).
+    `window W`, under `art_config` (its force_assign rule included). A
+    history of the same kept windows as the one before, as after an empty
+    window, reuses that training and logs its outcome again.
 
     It trains on `patterns`, the kept patterns of each window in window
     order, as the caller extracted them; every history that includes a
@@ -176,26 +180,33 @@ def sliding_run(
     elif len(patterns) != len(windows):
         raise ValueError(f"{len(patterns)} pattern lists for {len(windows)} windows")
     results: list[tuple[int, EvaluationResult]] = []
+    trained_key = None
     for w in range(len(windows) - 1):
         first = max(0, w + 1 - history_windows) if history_windows else 0
-        history = [pattern for batch in patterns[first : w + 1] for pattern in batch]
-        if not history:
+        key = [i for i in range(first, w + 1) if patterns[i]]
+        if not key:
             results.append((w, EvaluationResult((), ())))
             continue
-        bits = [p.bits for p in history]
-        net, assignment, error = _train_fresh(art_config, bits, f"window {w}")
+        if key == trained_key:
+            _log_training(f"window {w}", assignment, error)
+        else:
+            trained_key, history = key, [pattern for i in key for pattern in patterns[i]]
+            net, assignment, error = _train_fresh(
+                art_config, [p.bits for p in history], f"window {w}"
+            )
+            if error is None:
+                # A client's latest pattern sets its membership.
+                membership = {p.client_id: c for p, c in zip(history, assignment.clusters)}
+                plan = build_plan(net, assignment.clusters, base)
         if error is not None:
             results.append((w, EvaluationResult((), (), error)))
-            continue
-        # A client's latest pattern sets its membership.
-        membership = {p.client_id: c for p, c in zip(history, assignment.clusters)}
-        plan = build_plan(net, assignment.clusters, base)
-        results.append((w, evaluate_plan(plan, windows[w + 1], membership)))
+        else:
+            results.append((w, evaluate_plan(plan, windows[w + 1], membership)))
     return results
 
 
 def sweep_vigilance(
-    patterns: list[tuple[int, ...]],
+    patterns: list[Sequence[int]],
     grid: tuple[float, ...],
     *,
     input_dim: int,

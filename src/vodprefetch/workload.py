@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Mapping
 
 from .fileio import atomic_write
 from .logs import _check_record

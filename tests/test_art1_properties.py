@@ -16,7 +16,9 @@ from vodprefetch.art1 import (
     save_snapshot,
     train,
 )
+from vodprefetch.patterns import BaseVector, patterns_for_sessions
 
+from conftest import make_session
 from reference_art1 import reference_train
 
 
@@ -241,6 +243,39 @@ def test_force_assign_never_empties_a_prototype(case_cap, vigilance, epochs):
     net = init_network(Art1Config(dim, vigilance, cap, epochs, force_assign=True))
     train(net, patterns)
     assert all(net.prototypes)
+
+
+def _trained(config, patterns):
+    """A fresh network's assignment, or its CapacityError text, and its prototypes."""
+    net = init_network(config)
+    try:
+        outcome = train(net, patterns)
+    except CapacityError as exc:
+        outcome = str(exc)
+    return outcome, net.prototypes
+
+
+@given(
+    pattern_sets().flatmap(lambda case: st.tuples(st.just(case), st.integers(1, len(case[1])))),
+    vigilances,
+    st.integers(1, 5),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_extracted_bytes_patterns_train_as_their_tuples(case_cap, vigilance, epochs, force):
+    # Session k requests video i twice for each set bit i of pattern k, so
+    # patterns_for_sessions gives the patterns back, as bytes.
+    (dim, patterns), cap = case_cap
+    base = BaseVector.from_urls([f"v{i}" for i in range(dim)])
+    sessions = [
+        make_session(f"c{k}", [(0, f"v{i}") for i, bit in enumerate(p) if bit for _ in "ab"])
+        for k, p in enumerate(patterns)
+    ]
+    extracted = [p.bits for p in patterns_for_sessions(sessions, base)[0]]
+    assert all(type(bits) is bytes for bits in extracted)
+    assert list(map(tuple, extracted)) == patterns
+    config = Art1Config(dim, vigilance, cap, epochs, force)
+    assert _trained(config, extracted) == _trained(config, patterns)
 
 
 def _wide_patterns(seed, count):

@@ -896,6 +896,8 @@ REPLAY_NEVER_LOADS = (
     "pathlib",
     "configparser",
     "random",
+    "typing",
+    "_typing",
     "vodprefetch.workload",
 )
 

@@ -44,7 +44,9 @@ def test_extract_pattern_frequency_threshold():
     session = make_session("c1", [(0, "v1"), (1, "v1"), (2, "v1"), (3, "v2")])
     base = build_base_vector(list(session.events))
     (pattern,), dropped = patterns_for_sessions([session], base, freq_threshold=2)
-    assert pattern.bits == (1, 0)
+    # One byte per URL: the patterns train as they are, with no conversion.
+    assert type(pattern.bits) is bytes
+    assert pattern.bits == bytes((1, 0))
     assert pattern.client_id == "c1"
     assert dropped == 0
 
@@ -53,7 +55,7 @@ def test_extract_pattern_threshold_one_marks_any_request():
     session = make_session("c1", [(0, "v1"), (1, "v2")])
     base = build_base_vector(list(session.events))
     (pattern,), _ = patterns_for_sessions([session], base, freq_threshold=1)
-    assert pattern.bits == (1, 1)
+    assert pattern.bits == bytes((1, 1))
 
 
 def test_extract_pattern_all_below_threshold():
@@ -87,7 +89,7 @@ def test_bad_threshold_is_rejected_without_sessions():
 def bits_of(session, base):
     """The session's pattern bits, all zeros when its pattern is dropped."""
     kept, _ = patterns_for_sessions([session], base)
-    return kept[0].bits if kept else (0,) * base.size
+    return kept[0].bits if kept else bytes(base.size)
 
 
 def test_extract_pattern_order_invariance():

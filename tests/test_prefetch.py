@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vodprefetch import prefetch
 from vodprefetch.art1 import Art1Config, CapacityError, init_network, train
 from vodprefetch.logs import group_sessions_by_window, segment_sessions
 from vodprefetch.patterns import BaseVector, build_base_vector, patterns_for_sessions
@@ -472,23 +473,50 @@ def test_sliding_run_equals_direct_trainings(seed, history_windows):
             windows, base, config, patterns=window_patterns, history_windows=history_windows
         )
     assert (given, given_logged) == (results, logged)
-    assert [w for w, _ in results] == list(range(len(windows) - 1))
-    expected = []
-    for w, result in results:
+    assert (results, logged) == _direct_sliding_run(windows, base, config, history_windows)
+
+
+def _direct_sliding_run(windows, base, config, history_windows):
+    """What sliding_run should return and log: one direct training of each
+    window's whole history, however often it repeats."""
+    results, logged = [], []
+    for w in range(len(windows) - 1):
         history = windows[max(0, w + 1 - history_windows) if history_windows else 0 : w + 1]
         patterns = [p for window in history for p in patterns_for_sessions(window, base)[0]]
         if not patterns:
-            assert result == EvaluationResult((), ())
+            results.append((w, EvaluationResult((), ())))
             continue
         net, assignment, error = _direct_training(config, [p.bits for p in patterns])
-        expected += _outcome(f"window {w}", assignment, error)
+        logged += _outcome(f"window {w}", assignment, error)
         if error is not None:
-            assert result == EvaluationResult((), (), error)
+            results.append((w, EvaluationResult((), (), error)))
             continue
         membership = {p.client_id: c for p, c in zip(patterns, assignment.clusters)}
         plan = build_plan(net, assignment.clusters, base)
-        assert result == evaluate_plan(plan, windows[w + 1], membership)
-    assert logged == expected
+        results.append((w, evaluate_plan(plan, windows[w + 1], membership)))
+    return results, logged
+
+
+@pytest.mark.parametrize("history_windows, trained", [(0, [1, 2]), (2, [1, 1])])
+def test_sliding_run_trains_each_distinct_history_once(monkeypatch, history_windows, trained):
+    # Windows 1 and 3 are empty, so window 1's history repeats window 0's and
+    # window 3's repeats window 2's, over all windows and over the last two.
+    # At cap 1 the all-window history of windows 2 and 3 fails, so its
+    # error is reused and logged again.
+    windows, base = _windows_of([[("a", "v1")], [], [("b", "v2")], [], [("a", "v2")]])
+    config = Art1Config(base.size, 0.9, 1)
+    calls = []
+
+    def counted(net, patterns):
+        calls.append(len(patterns))
+        return train(net, patterns)
+
+    monkeypatch.setattr(prefetch, "train", counted)
+    with _Logged() as logged:
+        results = sliding_run(windows, base, config, history_windows=history_windows)
+    assert calls == trained
+    assert (results, logged) == _direct_sliding_run(windows, base, config, history_windows)
+    assert (results[3][1].error is not None) == (history_windows == 0)
 
 
 def test_sliding_run_needs_one_pattern_list_per_window():
