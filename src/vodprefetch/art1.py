@@ -63,6 +63,11 @@ class Art1Config(
             raise ValueError(f"max_epochs must be >= 1, got {config.max_epochs}")
         return config
 
+    @classmethod
+    def _make(cls, iterable) -> Art1Config:
+        # namedtuple's _replace builds through _make, which skips __new__.
+        return cls(*iterable)
+
 
 class Art1Network:
     """Mutable clustering state: one prototype bitmask per cluster."""
@@ -79,7 +84,7 @@ class Art1Network:
     def top_down(self) -> list[list[int]]:
         """Dense binary prototype rows, rebuilt on every access."""
         dim = self.config.input_dim
-        return [_dense(t, dim) for t in self.prototypes]
+        return [[int(ch) for ch in _digits(t, dim)] for t in self.prototypes]
 
     @property
     def bottom_up(self) -> list[list[float]]:
@@ -133,10 +138,6 @@ def _to_mask(pattern: Sequence[int], dim: int, name: str = "pattern") -> int:
 def _digits(mask: int, dim: int) -> str:
     """The mask as dim '0'/'1' characters, input 0 first."""
     return format(mask, f"0{dim}b")[::-1]
-
-
-def _dense(mask: int, dim: int) -> list[int]:
-    return [int(ch) for ch in _digits(mask, dim)]
 
 
 def _weight_row(mask: int, dim: int) -> list[float]:

@@ -141,18 +141,23 @@ def run(config: argparse.Namespace) -> int:
     else:
         _remove_stale(patterns_csv)
 
-    # The sentinel gives every pattern its own potential cluster, so the cap
-    # only ever binds when the user asks for one explicitly.
-    max_clusters = config.max_clusters or len(all_patterns)
+    # Every Art1Config field but vigilance, which the sliding run and each
+    # sweep point train under. The max_clusters sentinel gives every pattern
+    # its own potential cluster, so the cap only ever binds when the user
+    # asks for one explicitly.
+    settings = dict(
+        input_dim=base.size,
+        max_clusters=config.max_clusters or len(all_patterns),
+        max_epochs=config.max_epochs,
+        force_assign=config.force_assign,
+    )
 
     results = []
     if len(windows) >= 2:
         results = sliding_run(
             windows,
             base,
-            Art1Config(
-                base.size, config.vigilance, max_clusters, config.max_epochs, config.force_assign
-            ),
+            Art1Config(vigilance=config.vigilance, **settings),
             patterns=window_patterns,
             history_windows=config.history_windows,
         )
@@ -171,14 +176,7 @@ def run(config: argparse.Namespace) -> int:
     grid = config.sweep
     if config.vigilance not in grid:
         grid = (*grid, config.vigilance)
-    points = sweep_vigilance(
-        [p.bits for p in all_patterns],
-        grid,
-        input_dim=base.size,
-        max_clusters=max_clusters,
-        max_epochs=config.max_epochs,
-        force_assign=config.force_assign,
-    )
+    points = sweep_vigilance([p.bits for p in all_patterns], grid, **settings)
     atomic_write(
         os.path.join(out, "cluster_counts.csv"),
         render_cluster_counts(points[: len(config.sweep)]),

@@ -6,8 +6,7 @@ import logging
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
-from .art1 import DEFAULT_MAX_EPOCHS, Art1Config, Art1Network, Assignment, CapacityError
-from .art1 import init_network, train
+from .art1 import Art1Config, Art1Network, Assignment, CapacityError, init_network, train
 from .fileio import atomic_write
 from .logs import Session
 from .patterns import BaseVector, PatternVector, patterns_for_sessions
@@ -33,6 +32,11 @@ class CacheMetrics(
         if not 0 <= hits <= prefetched_count:
             raise ValueError(f"hits {hits} outside [0, prefetched {prefetched_count}]")
         return super().__new__(cls, cluster_index, member_count, prefetched_count, hits)
+
+    @classmethod
+    def _make(cls, iterable) -> CacheMetrics:
+        # namedtuple's _replace builds through _make, which skips __new__.
+        return cls(*iterable)
 
     @property
     def accuracy(self) -> float:
@@ -206,15 +210,9 @@ def sliding_run(
 
 
 def sweep_vigilance(
-    patterns: list[Sequence[int]],
-    grid: tuple[float, ...],
-    *,
-    input_dim: int,
-    max_clusters: int,
-    max_epochs: int = DEFAULT_MAX_EPOCHS,
-    force_assign: bool = False,
+    patterns: list[Sequence[int]], grid: tuple[float, ...], **settings
 ) -> list[SweepPoint]:
-    """Train one independent network per grid value on the same patterns.
+    """Train one network per grid value under `Art1Config(vigilance=value, **settings)`.
 
     A capacity failure is recorded on its own point and the remaining points
     still run; each successful point keeps the network it trained. Each
@@ -224,7 +222,7 @@ def sweep_vigilance(
         raise ValueError("sweep grid must not be empty")
     points = []
     for value in grid:
-        config = Art1Config(input_dim, value, max_clusters, max_epochs, force_assign)
+        config = Art1Config(vigilance=value, **settings)
         net, _, error = _train_fresh(config, patterns, f"vigilance {value:g}")
         points.append(SweepPoint(value, error, net))
     return points

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import logging
 import os
+import random
 import subprocess
 import sys
 from collections.abc import Iterator
@@ -395,12 +396,38 @@ def test_replay_whitespace_log(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
-def test_replay_of_generated_trace_gives_same_outputs(tmp_path):
+def _shifted(line: str) -> str:
+    fields = line.split(" ")
+    fields[2] = str(int(fields[2]) + 5_184_000_000)
+    return " ".join(fields)
+
+
+# Rewrites of a generated trace that must replay to the same results: each
+# maps its header and data lines to the lines to replay and the flags to read
+# them with.
+REPLAY_REWRITES = {
+    "as-written": lambda header, data: ([header, *data], []),
+    # Every client's events arrive out of time order, so segmentation sorts.
+    "shuffled": lambda header, data: ([header, *random.Random(0).sample(data, len(data))], []),
+    # 60,000 days: past 2**32 s, and a multiple of the window spacing, so the
+    # windows split where they did.
+    "shifted": lambda header, data: ([header, *map(_shifted, data)], []),
+    "csv": lambda header, data: ([line.replace(" ", ",") for line in (header, *data)], ["--csv"]),
+}
+
+
+@pytest.mark.parametrize("rewrite", REPLAY_REWRITES)
+def test_replay_of_generated_trace_gives_same_outputs(tmp_path, rewrite):
     generated, replayed = tmp_path / "generated", tmp_path / "replayed"
-    assert main(["--config", write_ini(tmp_path), "--out", str(generated)]) == EXIT_OK
-    trace = generated / "trace.log"
-    assert main(["--input", str(trace), "--out", str(replayed)]) == EXIT_OK
-    for name in ("metrics.csv", "cluster_counts.csv", "network.snapshot"):
+    ini = write_ini(tmp_path)
+    assert main(["--config", ini, "--out", str(generated), "--dump-patterns"]) == EXIT_OK
+    header, *data = (generated / "trace.log").read_text(encoding="utf-8").splitlines()
+    lines, flags = REPLAY_REWRITES[rewrite](header, data)
+    trace = tmp_path / "trace.log"
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["--input", str(trace), *flags, "--out", str(replayed), "--dump-patterns"]
+    assert main(argv) == EXIT_OK
+    for name in ("metrics.csv", "cluster_counts.csv", "network.snapshot", "patterns.csv"):
         assert (generated / name).read_bytes() == (replayed / name).read_bytes(), name
 
 

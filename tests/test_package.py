@@ -3,10 +3,12 @@ README's example and the names the benchmark's tracer looks up."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -51,9 +53,9 @@ EXPORTED_NAMES = {
              "segment_sessions"),
     "patterns": ("BaseVector", "PatternVector", "UnknownVideoError", "build_base_vector",
                  "patterns_for_sessions", "render_pattern_matrix", "write_pattern_matrix"),
-    "prefetch": ("CacheMetrics", "EvaluationResult", "build_plan", "evaluate_plan",
-                 "member_weighted_accuracy", "render_metrics_csv", "sliding_run",
-                 "write_metrics_csv"),
+    "prefetch": ("CacheMetrics", "EvaluationResult", "SweepPoint", "build_plan",
+                 "evaluate_plan", "member_weighted_accuracy", "render_metrics_csv",
+                 "sliding_run", "sweep_vigilance", "write_metrics_csv"),
     "workload": ("GroundTruth", "LogRecord", "WorkloadConfig", "generate", "plant_ground_truth",
                  "write_ground_truth", "write_trace_log"),
 }
@@ -67,6 +69,13 @@ EXPORTED_NAMES = {
 def test_every_exported_name_resolves(module, name):
     value = getattr(importlib.import_module(f"vodprefetch.{module}"), name)
     assert value.__module__ == f"vodprefetch.{module}"
+
+
+def test_cli_sweeps_with_prefetchs_sweep():
+    # tests/test_acceptance.py imports sweep_vigilance from cli.
+    from vodprefetch import cli, prefetch
+
+    assert cli.sweep_vigilance is prefetch.sweep_vigilance
 
 
 def test_log_record_is_the_generators():
@@ -163,6 +172,26 @@ def test_cache_metrics_error_text():
 def test_log_record_error_texts(args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         LogRecord(*args)
+
+
+@pytest.mark.parametrize(
+    "value, change, message",
+    [
+        pytest.param(Art1Config(3, 0.5, 2), dict(vigilance=5, max_clusters=0),
+                     "vigilance must be in [0, 1], got 5", id="Art1Config-vigilance"),
+        pytest.param(Art1Config(3, 0.5, 2), dict(max_clusters=0),
+                     "max_clusters must be >= 1, got 0", id="Art1Config-max_clusters"),
+        pytest.param(CacheMetrics(0, 1, 2, 1), dict(hits=9),
+                     "hits 9 outside [0, prefetched 2]", id="CacheMetrics-hits"),
+    ],
+)
+def test_replace_checks_fields_as_construction_does(value, change, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        value._replace(**change)
+    # Every other way to rebuild a valid value still works.
+    for rebuilt in (value._replace(), pickle.loads(pickle.dumps(value)),
+                    copy.copy(value), copy.deepcopy(value)):
+        assert rebuilt == value and type(rebuilt) is type(value)
 
 
 def test_log_record_stays_a_dataclass_for_replace():

@@ -452,6 +452,13 @@ def test_sweep_rejects_empty_grid():
         sweep_vigilance([(1, 0)], (), input_dim=2, max_clusters=1)
 
 
+@pytest.mark.parametrize("name", ["vigilance", "colour"])
+def test_sweep_forwards_only_the_other_config_fields(name):
+    # The grid sets vigilance; every other setting is an Art1Config field.
+    with pytest.raises(TypeError, match=f"'{name}'"):
+        sweep_vigilance([(1, 0)], (0.5,), input_dim=2, max_clusters=1, **{name: 0.5})
+
+
 @pytest.mark.parametrize("history_windows", [0, 1])
 @pytest.mark.parametrize("seed", range(8))
 def test_sliding_run_equals_direct_trainings(seed, history_windows):
