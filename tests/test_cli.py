@@ -295,6 +295,36 @@ def test_default_run_outputs_match_golden_digests(tmp_path):
     assert digests == DEFAULT_RUN_SHA256
 
 
+# A mid-scale run whose sweep grid gives 191, 272, 333, 416, 446 and 459
+# clusters, where every other byte-pinned run stays at 116 or fewer. Its
+# sha256s were recorded before the training engine learned to replay.
+MID_SCALE_INI = """\
+[workload]
+num_clients = 250
+num_videos = 1500
+num_groups = 15
+num_session_windows = 3
+"""
+MID_SCALE_RUN_SHA256 = {
+    "trace.log": "f8ed8159fa9a57b115d8597403789e967cce8051bd8c7373a282d284721a396b",
+    "metrics.csv": "d961adab37abd52c106e47fdc7240355f3dac8b4e34adc3cd21cd100a5dfe44c",
+    "cluster_counts.csv": "fe3050b3cb6fa6a4fb4ed15ef79231d0fab60ae6beac603b67e229d8250ddb64",
+    "network.snapshot": "616c0e2c6e7756816f56d888727e2a730a194a021ddcc0c023bae2660d96703e",
+    "patterns.csv": "2d183f82da1023afc5143dbaa95306945bc72ba3dc47d7d622be78c67393c073",
+}
+
+
+def test_mid_scale_run_outputs_match_golden_digests(tmp_path):
+    out = tmp_path / "out"
+    ini = write_ini(tmp_path, MID_SCALE_INI)
+    assert main(["--config", ini, "--seed", "7", "--dump-patterns", "--out", str(out)]) == EXIT_OK
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in MID_SCALE_RUN_SHA256
+    }
+    assert digests == MID_SCALE_RUN_SHA256
+
+
 def test_reruns_are_byte_identical(tmp_path):
     ini = write_ini(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
