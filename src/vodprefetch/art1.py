@@ -162,16 +162,28 @@ def _tables(protos: list[int]) -> list[tuple[float, ...]]:
     return [_match_table(t.bit_count()) for t in protos]
 
 
-def _learn(protos: list[int], tables: list[tuple[float, ...]], j: int, x: int) -> None:
+def _learn(
+    protos: list[int], tables: list[tuple[float, ...]], log: list[int], j: int, x: int
+) -> bool:
+    """Fold x into prototype j; when that shrinks it, log j and return True."""
     t = protos[j]
-    if t & x != t:
-        protos[j] = t = t & x
-        tables[j] = _match_table(t.bit_count())
+    if t & x == t:
+        return False
+    protos[j] = t = t & x
+    tables[j] = _match_table(t.bit_count())
+    log.append(j)
+    return True
 
 
 def _present(
-    net: Art1Network, tables: list[tuple[float, ...]], x: int
-) -> tuple[int, tuple[int, ...]]:
+    net: Art1Network, tables: list[tuple[float, ...]], x: int, log: list[int]
+) -> tuple[int, tuple[int, ...], float | None]:
+    """One search: (cluster, rejected clusters, value), as present_pattern.
+
+    Appends to `log` every cluster that it creates or shrinks. `value` is the
+    winner's match value when the first candidate passed vigilance and was
+    left unchanged, else None.
+    """
     # tables[j] is _match_table(|t_j|) for prototype j; _learn and cluster
     # creation keep it in step with net.prototypes.
     protos = net.prototypes
@@ -188,8 +200,7 @@ def _present(
         # sweep-heavy, 98/0/1% on ingest-heavy and 18/5/77% on sliding-capped.
         j = values.index(max(values))
         if overlaps[j] / size >= vigilance:
-            _learn(protos, tables, j, x)
-            return j, rejected
+            return j, rejected, None if _learn(protos, tables, log, j, x) else values[j]
         # A stable sort keeps equal values in ascending index order even
         # when reversed, so this is descending value, ties to the lowest
         # index, and its head is j.
@@ -197,13 +208,17 @@ def _present(
         for n in range(1, len(order)):
             j = order[n]
             if overlaps[j] / size >= vigilance:
-                _learn(protos, tables, j, x)
-                return j, tuple(order[:n])
+                # j shares more bits with x than the clusters ranked ahead of
+                # it, so it is no subset of x (k / (0.5 + |t|) <= k / (0.5 + k),
+                # which grows with k) and shrinks here.
+                _learn(protos, tables, log, j, x)
+                return j, tuple(order[:n]), None
         rejected = tuple(order)
     if len(protos) < net.config.max_clusters:
+        log.append(len(protos))
         protos.append(x)
         tables.append(_match_table(size))
-        return len(protos) - 1, rejected
+        return len(protos) - 1, rejected, None
     # Every cluster was rejected; similarity grows with overlap, so the
     # closest one is the lowest-index maximum overlap.
     best = max(overlaps)
@@ -211,8 +226,8 @@ def _present(
     if net.config.force_assign:
         # With no shared bit, learning would leave an all-zero prototype.
         if best:
-            _learn(protos, tables, best_cluster, x)
-        return best_cluster, rejected
+            _learn(protos, tables, log, best_cluster, x)
+        return best_cluster, rejected, None
     raise CapacityError(best_cluster, best / size)
 
 
@@ -229,8 +244,7 @@ def present_pattern(net: Art1Network, pattern: Sequence[int]) -> int:
     x = _to_mask(pattern, net.config.input_dim)
     if not x:
         raise ValueError("cannot present an all-zero pattern")
-    index, _ = _present(net, _tables(net.prototypes), x)
-    return index
+    return _present(net, _tables(net.prototypes), x, [])[0]
 
 
 def train(net: Art1Network, patterns: Sequence[Sequence[int]]) -> Assignment:
@@ -240,6 +254,17 @@ def train(net: Art1Network, patterns: Sequence[Sequence[int]]) -> Assignment:
     assignments or config.max_epochs is reached; max_epochs=1 gives a
     plain single pass. `converged` reports which way the loop ended. Each
     presentation follows present_pattern, config.force_assign included.
+
+    A presentation whose outcome cannot have changed is replayed without a
+    search. Prototypes only ever lose bits, so a cluster that was neither
+    created nor shrunk since pattern x was last presented still has the same
+    match value and vigilance outcome for it. Let that presentation have
+    picked existing cluster j first and left it unchanged (t_j inside x), and
+    let C be the clusters created or shrunk since. When j is not in C and
+    every cluster in C ranks after j (a lower value, or an equal one and a
+    higher index), the search would pick j first again, rejecting nothing,
+    and j would learn nothing. A pick after a reset always shrinks its
+    cluster, so only first picks are replayed.
     """
     masks = []
     for k, pattern in enumerate(patterns):
@@ -250,12 +275,33 @@ def train(net: Art1Network, patterns: Sequence[Sequence[int]]) -> Assignment:
     if not masks:
         return Assignment((), (), True, 0)
     previous: list[int] | None = None
-    tables = _tables(net.prototypes)
+    protos = net.prototypes
+    tables = _tables(protos)
+    # log lists, in order, every cluster created or shrunk by this call, and
+    # replays[k] is (len(log), j, value of j) after pattern k's last
+    # presentation when that picked existing cluster j first, unchanged.
+    log: list[int] = []
+    replays: list[tuple[int, int, float] | None] = [None] * len(masks)
     for epochs in range(1, net.config.max_epochs + 1):
         clusters: list[int] = []
         rejections: list[tuple[int, ...]] = []
-        for x in masks:
-            index, rejected = _present(net, tables, x)
+        for k, x in enumerate(masks):
+            replay = replays[k]
+            if replay is not None:
+                start, index, value = replay
+                changed = set(log[start:])
+                if index not in changed:
+                    for c in changed:
+                        v = tables[c][(x & protos[c]).bit_count()]
+                        if v > value or (v == value and c < index):
+                            break
+                    else:
+                        replays[k] = len(log), index, value
+                        clusters.append(index)
+                        rejections.append(())
+                        continue
+            index, rejected, value = _present(net, tables, x, log)
+            replays[k] = None if value is None else (len(log), index, value)
             clusters.append(index)
             rejections.append(rejected)
         if clusters == previous:

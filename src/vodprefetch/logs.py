@@ -129,18 +129,22 @@ def iter_events(
     """
     # Whitespace lines first try a fast path. `line.split()` splits on the
     # same whitespace that `line.strip()` removes and never yields an empty
-    # id, so a clean six-field line passes here exactly when `_fields`
-    # accepts it. CSV lines and every line the fast path leaves (blank,
-    # comment, longer and malformed lines) take the shared step below it,
-    # which skips blank and comment lines and keeps the line or raises its
-    # error.
+    # id, so every six-field line that passes here is one `_fields` accepts.
+    # The bytes field passes as at most 640 decimal digits, which parse as a
+    # non-negative int under every `sys.set_int_max_str_digits` limit (640 is
+    # the lowest allowed), so it is checked without being parsed. CSV lines
+    # and every line the fast path leaves (blank, comment, longer and
+    # malformed lines, and other spellings of the bytes) take the shared
+    # step below it, which skips blank and comment lines and keeps the line
+    # or raises its error.
     for number, line in enumerate(lines, 1):
         if not delimiter:
             try:
                 client_id, _, raw_ts, video_id, raw_status, raw_bytes = line.split()
                 if client_id[0] != "#":
                     timestamp = int(raw_ts)
-                    if 0 <= timestamp <= MAX_TIMESTAMP and int(raw_bytes) >= 0:
+                    if (0 <= timestamp <= MAX_TIMESTAMP and raw_bytes.isdecimal()
+                            and len(raw_bytes) <= 640):
                         if raw_status == "200" or int(raw_status) == 200:
                             yield client_id, timestamp, video_id
                         continue

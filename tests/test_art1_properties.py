@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from vodprefetch import art1
 from vodprefetch.art1 import (
     Art1Config,
     CapacityError,
@@ -351,3 +354,91 @@ def test_train_resumes_from_existing_clusters(tmp_path, capped):
     # both start their search from the prototypes already learned.
     _assert_train_matches_straight_line(net, second)
     _assert_train_matches_straight_line(loaded, second)
+
+
+# --- replay: train skips a search whose outcome cannot have changed ---
+
+
+@st.composite
+def replay_cases(draw):
+    """Wide patterns, most of them prefixes of one short list of inputs.
+
+    A prefix, with up to two of the list's inputs toggled, overlaps many
+    others and nests inside longer ones, so across epochs clusters shrink
+    and overtake the cluster a pattern joined last time. In about one case
+    in five every pattern has inputs of its own instead, so no pattern
+    overlaps any other or any prototype.
+    """
+    dim = draw(st.integers(1, 400))
+    count = draw(st.integers(1, 20))
+    if count <= dim and draw(st.integers(0, 4)) == 0:
+        inputs = draw(st.permutations(range(dim)))
+        width = dim // count
+        masks = [set(inputs[k * width:(k + 1) * width]) for k in range(count)]
+    else:
+        inputs = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=10, unique=True))
+        masks = []
+        for _ in range(count):
+            bits = set(inputs[: draw(st.integers(1, len(inputs)))])
+            bits.symmetric_difference_update(draw(st.lists(st.sampled_from(inputs), max_size=2)))
+            masks.append(bits or {inputs[0]})
+    patterns = [tuple(int(i in bits) for i in range(dim)) for bits in masks]
+    vigilance = draw(st.sampled_from([0.3, 0.0, 0.2, 1.0, 0.4, 0.5, 0.6, 1.0]))
+    cap = draw(st.integers(1, count)) if draw(st.booleans()) else count
+    epochs = draw(st.integers(1, 6))
+    force = draw(st.booleans())
+    # Train this many of the patterns first, save the network and train all
+    # of them on the reloaded copy: a start that already has clusters.
+    warm = draw(st.sampled_from([0, 0, draw(st.integers(1, count))]))
+    return patterns, Art1Config(dim, vigilance, cap, epochs, force), warm
+
+
+@seed(31)
+@given(replay_cases())
+@settings(max_examples=150, deadline=None)
+def test_replayed_training_matches_straight_line(case):
+    patterns, config, warm = case
+    net = init_network(config)
+    if warm:
+        try:
+            train(net, patterns[:warm])
+        except CapacityError:
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.snapshot"
+            save_snapshot(net, path)
+            net = load_snapshot(path)
+        # Snapshots keep neither max_epochs nor force_assign.
+        net.config = config
+    _assert_train_matches_straight_line(net, patterns)
+
+
+@given(pattern_sets(), vigilances)
+@settings(max_examples=300, deadline=None)
+def test_a_pick_after_a_reset_shrinks_its_cluster(case, vigilance):
+    # So train only replays first picks, which reject nothing. (With a cap
+    # of one cluster per pattern, no presentation falls back.)
+    dim, patterns = case
+    net = init_network(Art1Config(dim, vigilance, len(patterns), 1))
+    tables: list = []
+    for pattern in patterns:
+        before = list(net.prototypes)
+        index, rejected, _ = art1._present(net, tables, art1._to_mask(pattern, dim), [])
+        if rejected and index < len(before):
+            assert net.prototypes[index] != before[index]
+
+
+def test_replay_skips_searches_on_a_converging_set(monkeypatch):
+    dim, patterns = _wide_patterns(5, 100)
+    net = init_network(Art1Config(dim, 0.6, len(patterns), 10))
+    searches = []
+    search = art1._present
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(art1, "_present", counted)
+    assignment = train(net, patterns)
+    assert assignment.converged and assignment.epochs >= 3
+    assert len(searches) < len(patterns) * assignment.epochs

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 from operator import attrgetter
 
@@ -329,6 +330,42 @@ def test_iter_events_keeps_other_spellings_of_a_passing_status(status):
 @pytest.mark.parametrize("status", ["0404", "+404", "2000", "20", "-200", "٢٠٦"])
 def test_iter_events_filters_other_spellings_by_value(status):
     assert read_both([f"c1 u1 10 v1 {status} 5"]) == ([], None)
+
+
+@pytest.mark.parametrize(
+    "raw_bytes", ["٥", "５", "+5", "5_0", "0" * 640, "1" * 640, "1" * 641, "٥" * 641],
+    ids=["arabic-indic", "fullwidth", "plus", "underscore", "640-zeros", "640-digits",
+         "641-digits", "641-arabic-indic"],
+)
+def test_iter_events_keeps_other_spellings_of_good_bytes(raw_bytes):
+    # The fast path takes at most 640 decimal digits; every other spelling
+    # that int() reads goes through the shared step, with the same result.
+    line = f"c1 u1 10 v1 200 {raw_bytes}"
+    assert read_both([line]) == ([AccessEvent("c1", 10, "v1")], None)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit on this Python"
+)
+def test_iter_events_agrees_with_reference_at_the_lowest_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert read_both(["c1 u1 10 v1 200 " + "1" * 640]) == ([AccessEvent("c1", 10, "v1")], None)
+        fields = ["c1", "u1", "10", "v1", "200", "1" * 641]
+        events, error = read_both([" ".join(fields)])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert events is None
+    assert error == (f"line 1: non-numeric timestamp, status or bytes in {fields!r}", 1)
+
+
+@pytest.mark.parametrize("raw_bytes", ["²", "5²", "①", "٥x"])
+def test_iter_events_rejects_digits_that_int_cannot_read(raw_bytes):
+    fields = ["c1", "u1", "10", "v1", "200", raw_bytes]
+    events, error = read_both([" ".join(fields)])
+    assert events is None
+    assert error == (f"line 1: non-numeric timestamp, status or bytes in {fields!r}", 1)
 
 
 def test_iter_events_rejects_4301_digit_bytes():
