@@ -22,6 +22,7 @@ from .art1 import DEFAULT_MAX_EPOCHS, Art1Config, save_snapshot, train
 from .fileio import atomic_write
 from .logs import (
     DEFAULT_MAX_IDLE_SECONDS,
+    DEFAULT_WINDOW_SPACING,
     LogParseError,
     group_sessions_by_window,
     iter_events,
@@ -252,7 +253,8 @@ def _build_parser() -> _Parser:
         metavar="SECONDS", help="maximum idle seconds inside a session")
     add("--freq-threshold", type=int, default=DEFAULT_FREQ_THRESHOLD,
         help="requests per session to set a bit")
-    add("--window-spacing", type=int, default=86400, help="session window width in seconds")
+    add("--window-spacing", type=int, default=DEFAULT_WINDOW_SPACING,
+        help="session window width in seconds")
     add("--history-windows", type=int, default=0, help="trailing windows to train on (0 = all)")
     add("--seed", type=int, default=7, help="workload generator seed")
     add("--force-assign", action="store_true",

@@ -9,6 +9,8 @@ from itertools import compress, count, repeat
 from operator import attrgetter, gt, itemgetter, sub
 
 DEFAULT_MAX_IDLE_SECONDS = 1800
+# One session window per UTC day.
+DEFAULT_WINDOW_SPACING = 86400
 # Sessions keep their timestamps as C int64s (array typecode "q").
 MAX_TIMESTAMP = 2**63 - 1
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .fileio import atomic_write
-from .logs import _check_record
+from .logs import DEFAULT_WINDOW_SPACING, _check_record
 
 # One visit never spreads wider than requests * MAX_STEP_SECONDS, which
 # both keeps it inside its window and keeps it a single session at the
@@ -60,7 +60,7 @@ class WorkloadConfig:
     requests_min: int = 140
     requests_max: int = 160
     num_session_windows: int = 3
-    window_spacing: int = 86400
+    window_spacing: int = DEFAULT_WINDOW_SPACING
     shared_pool: int = 0
     category_schedule: Mapping[int, tuple[float, ...]] = field(default_factory=dict)
     seed: int = 7

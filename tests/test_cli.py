@@ -28,7 +28,7 @@ from vodprefetch.cli import (
     render_cluster_counts,
     sweep_vigilance,
 )
-from vodprefetch.workload import WorkloadConfig, generate, write_trace_log
+from vodprefetch.workload import WorkloadConfig
 
 OUTPUT_FILES = (
     "trace.log",
@@ -325,13 +325,23 @@ def test_mid_scale_run_outputs_match_golden_digests(tmp_path):
     assert digests == MID_SCALE_RUN_SHA256
 
 
-def test_reruns_are_byte_identical(tmp_path):
-    ini = write_ini(tmp_path)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["--config", ini, "--out", str(out_a)]) == EXIT_OK
-    assert main(["--config", ini, "--out", str(out_b)]) == EXIT_OK
-    for name in OUTPUT_FILES:
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+def test_example_config_outputs_do_not_depend_on_string_hashing(tmp_path):
+    # The shipped example config, [schedule] included, run as a program with
+    # warnings as errors under two string hash seeds; --dump-patterns has the
+    # dump, the sliding run and the sweep read the same per-window patterns.
+    root = Path(__file__).parents[1]
+    argv = [sys.executable, "-W", "error", "-m", "vodprefetch.cli", "--dump-patterns",
+            "--config", str(root / "configs" / "example.ini")]
+    stderr = {}
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src"))
+        out = ["--out", str(tmp_path / seed)]
+        done = subprocess.run([*argv, *out], env=env, capture_output=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr.decode()
+        stderr[seed] = done.stderr
+    for name in (*OUTPUT_FILES, "patterns.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+    assert stderr["1"] == stderr["2"]
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -406,30 +416,49 @@ def test_schedule_section_parses(tmp_path):
     assert main(["--config", ini, "--out", str(out)]) == EXIT_OK
 
 
-def test_replay_whitespace_log(tmp_path):
-    records, _ = generate(
-        WorkloadConfig(
-            num_clients=8,
-            num_videos=16,
-            num_groups=2,
-            requests_min=20,
-            requests_max=30,
-            num_session_windows=2,
-            seed=5,
-        )
-    )
-    trace = tmp_path / "trace.log"
-    write_trace_log(records, trace)
-    out = tmp_path / "out"
-    assert main(["--input", str(trace), "--out", str(out)]) == EXIT_OK
-    assert not (out / "trace.log").exists()  # replay mode writes no trace
-    assert (out / "metrics.csv").exists()
-
-
 def _shifted(line: str) -> str:
     fields = line.split(" ")
     fields[2] = str(int(fields[2]) + 5_184_000_000)
     return " ".join(fields)
+
+
+def _respelled(header: str, data: list[str]) -> tuple[list[str], list[str]]:
+    # The header is line 1. Every 11th line gains a 404 copy before it, which
+    # the status filter drops; every 3rd status reads 0200 and every 13th
+    # gains a leading +; every 5th line has a seventh field and every 7th is
+    # tab-separated, so real lines go through the reader's shared step.
+    lines = [header]
+    for number, line in enumerate(data, 2):
+        fields = line.split(" ")
+        if number % 11 == 0:
+            lines.append(" ".join([*fields[:4], "404", fields[5]]))
+        if number % 3 == 0:
+            fields[4] = "0" + fields[4]
+        if number % 13 == 0:
+            fields[4] = "+" + fields[4]
+        if number % 5 == 0:
+            fields.append("extra")
+        lines.append(("\t" if number % 7 == 0 else " ").join(fields))
+    return lines, []
+
+
+def _csv(header: str, data: list[str]) -> tuple[list[str], list[str]]:
+    # Commas for spaces, after an indented comment; the "#,client_id,..."
+    # header stays a comment. The header is line 1. Every 11th line gains a
+    # 404 copy before it, every 3rd is separated by ", ", every 5th has a
+    # seventh field and every 7th follows a blank line, so every branch of
+    # the CSV step runs.
+    lines = ["  # an indented comment", header.replace(" ", ",")]
+    for number, line in enumerate(data, 2):
+        fields = line.split(" ")
+        if number % 11 == 0:
+            lines.append(",".join([*fields[:4], "404", fields[5]]))
+        if number % 5 == 0:
+            fields.append("extra")
+        if number % 7 == 0:
+            lines.append("")
+        lines.append((", " if number % 3 == 0 else ",").join(fields))
+    return lines, ["--csv"]
 
 
 # Rewrites of a generated trace that must replay to the same results: each
@@ -442,10 +471,18 @@ REPLAY_REWRITES = {
     # 60,000 days: past 2**32 s, and a multiple of the window spacing, so the
     # windows split where they did.
     "shifted": lambda header, data: ([header, *map(_shifted, data)], []),
-    "csv": lambda header, data: ([line.replace(" ", ",") for line in (header, *data)], ["--csv"]),
+    "respelled": _respelled,
+    "csv": _csv,
+    # A byte-order mark right before the "#" header, which must still read
+    # as a comment.
+    "bom": lambda header, data: (["\ufeff" + header, *data], []),
+    "bom-csv": lambda header, data: (
+        [line.replace(" ", ",") for line in ("\ufeff" + header, *data)], ["--csv"]
+    ),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("rewrite", REPLAY_REWRITES)
 def test_replay_of_generated_trace_gives_same_outputs(tmp_path, rewrite):
     generated, replayed = tmp_path / "generated", tmp_path / "replayed"
@@ -459,48 +496,8 @@ def test_replay_of_generated_trace_gives_same_outputs(tmp_path, rewrite):
     assert main(argv) == EXIT_OK
     for name in ("metrics.csv", "cluster_counts.csv", "network.snapshot", "patterns.csv"):
         assert (generated / name).read_bytes() == (replayed / name).read_bytes(), name
-
-
-def test_replay_csv_log(tmp_path):
-    records, _ = generate(
-        WorkloadConfig(
-            num_clients=6,
-            num_videos=12,
-            num_groups=2,
-            requests_min=20,
-            requests_max=25,
-            num_session_windows=2,
-            seed=6,
-        )
-    )
-    lines = [
-        f"{r.client_id},{r.user_id},{r.timestamp},{r.video_id},{r.status_code},{r.bytes_sent}"
-        for r in records
-    ]
-    trace = tmp_path / "trace.csv"
-    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    out = tmp_path / "out"
-    assert main(["--input", str(trace), "--csv", "--out", str(out)]) == EXIT_OK
-
-
-@pytest.mark.parametrize("delimiter", [" ", ","], ids=["whitespace", "csv"])
-def test_replay_reads_a_log_that_starts_with_a_byte_order_mark(tmp_path, delimiter):
-    # The generated trace starts with its "# client_id ..." header; with a
-    # mark in front, that line must still read as a comment.
-    generated = tmp_path / "generated"
-    assert main(["--config", write_ini(tmp_path), "--out", str(generated)]) == EXIT_OK
-    text = (generated / "trace.log").read_text(encoding="utf-8").replace(" ", delimiter)
-    flags = ["--csv"] if delimiter == "," else []
-    outs = {}
-    for name, prefix in (("plain", ""), ("bom", "\ufeff")):
-        trace = tmp_path / f"{name}.log"
-        trace.write_text(prefix + text, encoding="utf-8")
-        outs[name] = tmp_path / name
-        argv = ["--input", str(trace), "--out", str(outs[name]), "--dump-patterns", *flags]
-        assert main(argv) == EXIT_OK
-    assert (tmp_path / "bom.log").read_bytes().startswith(b"\xef\xbb\xbf#")
-    for name in ("metrics.csv", "cluster_counts.csv", "network.snapshot", "patterns.csv"):
-        assert (outs["plain"] / name).read_bytes() == (outs["bom"] / name).read_bytes(), name
+    assert not (replayed / "trace.log").exists()
+    assert not (replayed / "ground_truth.csv").exists()
 
 
 def test_replay_streams_the_log_without_an_event_list(tmp_path, monkeypatch):
