@@ -14,7 +14,7 @@ import pytest
 
 import vodprefetch.cli as cli
 import vodprefetch.prefetch as prefetch
-from vodprefetch.art1 import Art1Config, init_network, load_snapshot, render_snapshot, train
+from vodprefetch.art1 import Art1Config, init_network, train
 from vodprefetch.cli import (
     EXIT_CAPACITY,
     EXIT_DATA,
@@ -255,25 +255,6 @@ def test_flags_override_config_file_over_defaults(tmp_path, run_configs):
 
 
 # --- end-to-end runs ---
-
-
-def test_default_generated_run(tmp_path):
-    out = tmp_path / "out"
-    code = main(["--config", write_ini(tmp_path), "--out", str(out)])
-    assert code == EXIT_OK
-    for name in OUTPUT_FILES:
-        assert (out / name).exists(), name
-
-    counts = (out / "cluster_counts.csv").read_text().splitlines()
-    assert counts[0] == "vigilance,clusters"
-    assert len(counts) == 7  # six sweep grid values by default
-
-    metrics = (out / "metrics.csv").read_text().splitlines()
-    assert metrics[0] == "window,cluster,members,prefetched,hits,accuracy"
-    assert len(metrics) > 1
-
-    net = load_snapshot(out / "network.snapshot")
-    assert render_snapshot(net) == (out / "network.snapshot").read_text()
 
 
 # sha256 of each output of the default run, `vodprefetch --out DIR`.
@@ -588,42 +569,17 @@ def test_library_run_keeps_the_gc(tmp_path, monkeypatch):
 # --- exit codes ---
 
 
-def test_unknown_flag_is_usage_error(capsys):
-    assert main(["--nope"]) == EXIT_USAGE
-    assert "error:" in capsys.readouterr().err
-
-
-def test_bad_vigilance_is_usage_error(tmp_path):
-    assert main(["--out", str(tmp_path), "--vigilance", "1.5"]) == EXIT_USAGE
-
-
-def test_missing_config_is_usage_error(tmp_path):
-    assert main(["--config", str(tmp_path / "missing.ini")]) == EXIT_USAGE
-
-
-def test_infeasible_spacing_is_usage_error(tmp_path):
-    ini = write_ini(tmp_path)
-    assert main(["--config", ini, "--out", str(tmp_path), "--window-spacing", "100"]) == EXIT_USAGE
-
-
-@pytest.mark.parametrize(
-    "text, flags, message",
-    [
-        (SMALL_INI.replace("seed = 3", "seed = 3\nwindow_spacing = 0"), [],
-         "bad config {ini}: window_spacing must be positive"),
-        (SMALL_INI, ["--window-spacing", "0"], "window_spacing must be positive"),
-    ],
-    ids=["config", "flag"],
-)
-def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags, message):
-    ini = write_ini(tmp_path, text)
-    assert main(["--config", ini, "--out", str(tmp_path / "out"), *flags]) == EXIT_USAGE
-    assert f"error: {message.format(ini=ini)}\n" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "ini, flags, code, message",
     [
+        (None, ["--nope"], EXIT_USAGE, "unrecognized arguments: --nope"),
+        (None, ["--vigilance", "1.5"], EXIT_USAGE, "vigilance must be in [0, 1], got 1.5"),
+        (None, ["--config", "{missing}"], EXIT_USAGE,
+         "cannot read config {missing}: [Errno 2] No such file or directory: '{missing}'"),
+        (SMALL_INI, ["--window-spacing", "100"], EXIT_USAGE,
+         "window_spacing 100 cannot hold a visit of up to 30 requests (needs > 900)"),
+        # With config-overridden: a zero spacing from a config or a flag has one message.
+        (None, ["--window-spacing", "0"], EXIT_USAGE, "window_spacing must be positive"),
         (None, ["--sweep", "0.3,1.5"], EXIT_USAGE, "sweep value 1.5 outside [0, 1]"),
         (None, ["--session-idle", "0"], EXIT_USAGE, "session idle bound must be positive"),
         (None, ["--freq-threshold", "0"], EXIT_USAGE, "freq_threshold must be >= 1"),
@@ -666,7 +622,8 @@ def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags, mess
         (None, ["--input", "{huge}"], EXIT_DATA,
          "line 2: timestamp 9223372036854775808 above 2**63 - 1"),
     ],
-    ids=["sweep-value", "session-idle", "freq-threshold", "history-windows",
+    ids=["unknown-flag", "flag-vigilance", "missing-config", "infeasible-spacing",
+         "flag-zero-spacing", "sweep-value", "session-idle", "freq-threshold", "history-windows",
          "max-clusters", "max-epochs", "log-format", "no-section-header", "schedule-empty",
          "schedule-garbage", "schedule-hour-24", "schedule-hour-word", "percent",
          "percent-reference", "config-sweep", "config-int", "config-bool", "config-vigilance",
@@ -675,7 +632,7 @@ def test_zero_window_spacing_has_one_message(tmp_path, capsys, text, flags, mess
 )
 def test_rejected_settings_exit_with_their_message(tmp_path, capsys, ini, flags, code, message):
     paths = {"ini": str(tmp_path / "exp.ini"), "taken": str(tmp_path / "taken"),
-             "huge": str(tmp_path / "huge.log")}
+             "huge": str(tmp_path / "huge.log"), "missing": str(tmp_path / "missing.ini")}
     (tmp_path / "taken").write_text("", encoding="utf-8")
     (tmp_path / "huge.log").write_text(
         "c1 u1 9223372036854775807 v1 200 5\nc1 u1 9223372036854775808 v1 200 5\n",
@@ -686,7 +643,7 @@ def test_rejected_settings_exit_with_their_message(tmp_path, capsys, ini, flags,
         argv += ["--config", write_ini(tmp_path, ini)]
     argv += [flag.format(**paths) for flag in flags]
     assert main(argv) == code
-    assert capsys.readouterr().err.startswith(f"error: {message.format(**paths)}")
+    assert capsys.readouterr().err.startswith(f"error: {message.format(**paths)}\n")
     # A bad setting stops the run before it makes the output directory; a
     # bad log line is only found by the read, after it.
     assert (tmp_path / "out").exists() == (code == EXIT_DATA)

@@ -1,10 +1,12 @@
 """Package surface: a root that loads no submodule, the immutable value types,
-README's example and the names the benchmark's tracer looks up."""
+README's example, the names the benchmark's tracer looks up and the frozen
+acceptance spec."""
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import importlib
 import json
 import os
@@ -141,6 +143,10 @@ def test_value_types_derive_what_their_fields_fix():
             dict(input_dim=1, vigilance=0.5, max_clusters=1, max_epochs=0),
             "max_epochs must be >= 1, got 0",
         ),
+        (
+            dict(input_dim=1, vigilance=-0.1, max_clusters=1),
+            "vigilance must be in [0, 1], got -0.1",
+        ),
     ],
 )
 def test_art1_config_error_texts(kwargs, message):
@@ -253,3 +259,17 @@ def test_benchmark_tracer_finds_the_pipeline(tmp_path):
         ("fileio.write", "prefetch.report"): 1,
         ("fileio.write", "art1.snapshot"): 1,
     }
+
+
+# The acceptance suite and its reference are the one home of the ART1 rules
+# and the session boundaries; they are frozen, so any edit must fail here.
+FROZEN_SHA256 = {
+    "test_acceptance.py": "d8d65531074584e33d17aa6488decb66430c2a97b65016de3716c9743b8b6dd7",
+    "reference_art1.py": "fc01fc14f647b0cdb8f42459accd4ca7e42bd50e5d8e3650ea0c2ed7267b08e2",
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_SHA256)
+def test_frozen_spec_is_unedited(name):
+    data = (Path(__file__).parent / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == FROZEN_SHA256[name]

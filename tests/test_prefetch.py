@@ -147,11 +147,6 @@ def test_evaluate_event_order_invariance():
         assert evaluate_plan(plan, shuffled, membership) == reference
 
 
-def test_metrics_validation():
-    with pytest.raises(ValueError):
-        CacheMetrics(0, 1, 2, 3)
-
-
 def test_member_weighted_accuracy():
     rows = [
         (0, type("R", (), {"metrics": (CacheMetrics(0, 8, 36, 34),
