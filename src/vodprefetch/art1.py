@@ -164,25 +164,21 @@ def _tables(protos: list[int]) -> list[tuple[float, ...]]:
 
 def _learn(
     protos: list[int], tables: list[tuple[float, ...]], log: list[int], j: int, x: int
-) -> bool:
-    """Fold x into prototype j; when that shrinks it, log j and return True."""
+) -> None:
+    """Fold x into prototype j; when that shrinks it, log j."""
     t = protos[j]
-    if t & x == t:
-        return False
-    protos[j] = t = t & x
-    tables[j] = _match_table(t.bit_count())
-    log.append(j)
-    return True
+    if t & x != t:
+        protos[j] = t = t & x
+        tables[j] = _match_table(t.bit_count())
+        log.append(j)
 
 
 def _present(
     net: Art1Network, tables: list[tuple[float, ...]], x: int, log: list[int]
-) -> tuple[int, tuple[int, ...], float | None]:
-    """One search: (cluster, rejected clusters, value), as present_pattern.
+) -> tuple[int, tuple[int, ...]]:
+    """One search: (cluster, rejected clusters), as present_pattern.
 
-    Appends to `log` every cluster that it creates or shrinks. `value` is the
-    winner's match value when the first candidate passed vigilance and was
-    left unchanged, else None.
+    Appends to `log` every cluster that it creates or shrinks.
     """
     # tables[j] is _match_table(|t_j|) for prototype j; _learn and cluster
     # creation keep it in step with net.prototypes.
@@ -201,7 +197,8 @@ def _present(
         # (train's replayed presentations never get here).
         j = values.index(max(values))
         if overlaps[j] / size >= vigilance:
-            return j, rejected, None if _learn(protos, tables, log, j, x) else values[j]
+            _learn(protos, tables, log, j, x)
+            return j, rejected
         # A stable sort keeps equal values in ascending index order even
         # when reversed, so this is descending value, ties to the lowest
         # index, and its head is j.
@@ -213,13 +210,13 @@ def _present(
                 # it, so it is no subset of x (k / (0.5 + |t|) <= k / (0.5 + k),
                 # which grows with k) and shrinks here.
                 _learn(protos, tables, log, j, x)
-                return j, tuple(order[:n]), None
+                return j, tuple(order[:n])
         rejected = tuple(order)
     if len(protos) < net.config.max_clusters:
         log.append(len(protos))
         protos.append(x)
         tables.append(_match_table(size))
-        return len(protos) - 1, rejected, None
+        return len(protos) - 1, rejected
     # Every cluster was rejected; similarity grows with overlap, so the
     # closest one is the lowest-index maximum overlap.
     best = max(overlaps)
@@ -228,7 +225,7 @@ def _present(
         # With no shared bit, learning would leave an all-zero prototype.
         if best:
             _learn(protos, tables, log, best_cluster, x)
-        return best_cluster, rejected, None
+        return best_cluster, rejected
     raise CapacityError(best_cluster, best / size)
 
 
@@ -279,30 +276,33 @@ def train(net: Art1Network, patterns: Sequence[Sequence[int]]) -> Assignment:
     protos = net.prototypes
     tables = _tables(protos)
     # log lists, in order, every cluster created or shrunk by this call, and
-    # replays[k] is (len(log), j, value of j) after pattern k's last
-    # presentation when that picked existing cluster j first, unchanged.
+    # replays[k] is (len(log), j) after pattern k's last presentation when that
+    # rejected and logged nothing, so it picked existing cluster j first, unchanged.
     log: list[int] = []
-    replays: list[tuple[int, int, float] | None] = [None] * len(masks)
+    replays: list[tuple[int, int] | None] = [None] * len(masks)
     for epochs in range(1, net.config.max_epochs + 1):
         clusters: list[int] = []
         rejections: list[tuple[int, ...]] = []
         for k, x in enumerate(masks):
             replay = replays[k]
             if replay is not None:
-                start, index, value = replay
+                start, index = replay
                 changed = set(log[start:])
                 if index not in changed:
+                    # t_j lies inside x, so j's value is its table's last entry.
+                    value = tables[index][-1]
                     for c in changed:
                         v = tables[c][(x & protos[c]).bit_count()]
                         if v > value or (v == value and c < index):
                             break
                     else:
-                        replays[k] = len(log), index, value
+                        replays[k] = len(log), index
                         clusters.append(index)
                         rejections.append(())
                         continue
-            index, rejected, value = _present(net, tables, x, log)
-            replays[k] = None if value is None else (len(log), index, value)
+            start = len(log)
+            index, rejected = _present(net, tables, x, log)
+            replays[k] = None if rejected or len(log) > start else (start, index)
             clusters.append(index)
             rejections.append(rejected)
         if clusters == previous:

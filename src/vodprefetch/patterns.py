@@ -74,6 +74,8 @@ def patterns_for_sessions(
     """
     if freq_threshold < 1:
         raise ValueError("freq_threshold must be >= 1")
+    if not sessions:
+        return [], 0
     index_of = {url: i for i, url in enumerate(base.urls)}
     size = base.size
     kept: list[PatternVector] = []

@@ -166,9 +166,9 @@ def sliding_run(
     usable patterns yield an empty result; a window whose training runs
     out of clusters records the error on its result and the remaining
     windows still run. Each training runs through `_train_fresh`, labelled
-    `window W`, under `art_config` (its force_assign rule included). A
-    history of the same kept windows as the one before, as after an empty
-    window, reuses that training and logs its outcome again.
+    `window W`, under `art_config` (its force_assign rule included). Window w
+    retrains only when it or the window leaving its range kept patterns; any
+    other window reuses the last training, in O(1), and logs its outcome again.
 
     It trains on `patterns`, the kept patterns of each window in window
     order, as the caller extracted them; every history that includes a
@@ -184,28 +184,25 @@ def sliding_run(
     elif len(patterns) != len(windows):
         raise ValueError(f"{len(patterns)} pattern lists for {len(windows)} windows")
     results: list[tuple[int, EvaluationResult]] = []
-    trained_key = None
+    history: list[PatternVector] = []
     for w in range(len(windows) - 1):
         first = max(0, w + 1 - history_windows) if history_windows else 0
-        key = [i for i in range(first, w + 1) if patterns[i]]
-        if not key:
-            results.append((w, EvaluationResult((), ())))
-            continue
-        if key == trained_key:
+        if patterns[w] or (first and patterns[first - 1]):
+            history = [pattern for i in range(first, w + 1) for pattern in patterns[i]]
+            if history:
+                net, assignment, error = _train_fresh(
+                    art_config, [p.bits for p in history], f"window {w}"
+                )
+                if error is None:
+                    # A client's latest pattern sets its membership.
+                    membership = {p.client_id: c for p, c in zip(history, assignment.clusters)}
+                    plan = build_plan(net, assignment.clusters, base)
+        elif history:
             _log_training(f"window {w}", assignment, error)
-        else:
-            trained_key, history = key, [pattern for i in key for pattern in patterns[i]]
-            net, assignment, error = _train_fresh(
-                art_config, [p.bits for p in history], f"window {w}"
-            )
-            if error is None:
-                # A client's latest pattern sets its membership.
-                membership = {p.client_id: c for p, c in zip(history, assignment.clusters)}
-                plan = build_plan(net, assignment.clusters, base)
-        if error is not None:
-            results.append((w, EvaluationResult((), (), error)))
-        else:
+        if history and error is None:
             results.append((w, evaluate_plan(plan, windows[w + 1], membership)))
+        else:
+            results.append((w, EvaluationResult((), (), error if history else None)))
     return results
 
 

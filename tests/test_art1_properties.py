@@ -364,5 +364,7 @@ def test_replay_skips_searches_on_a_converging_set(monkeypatch):
 
     monkeypatch.setattr(art1, "_present", counted)
     assignment = train(net, patterns)
-    assert assignment.converged and assignment.epochs >= 3
-    assert len(searches) < len(patterns) * assignment.epochs
+    assert assignment.converged
+    # 500 presentations. A replay that repeats a pick only when nothing at
+    # all was logged since is exact too, but makes 328 searches here.
+    assert (len(searches), assignment.epochs) == (234, 5)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -519,6 +520,57 @@ def test_sliding_run_trains_each_distinct_history_once(monkeypatch, history_wind
     assert calls == trained
     assert (results, logged) == _direct_sliding_run(windows, base, config, history_windows)
     assert (results[3][1].error is not None) == (history_windows == 0)
+
+
+@pytest.mark.parametrize("history_windows", range(7))
+def test_sliding_run_retrains_when_a_window_with_patterns_enters_or_leaves(
+    monkeypatch, history_windows
+):
+    # Each of the 64 ways 6 windows can be empty or hold one pattern. Window
+    # i's pattern is video i % 3 of client i % 2, so at cap 2 a history of
+    # all three videos fails. One epoch never converges, so every training
+    # that succeeds warns too, and every reuse logs its outcome again.
+    base = base_of("v0", "v1", "v2")
+    config = Art1Config(base.size, 0.9, 2, 1)
+    calls = []
+
+    def counted(net, patterns):
+        calls.append(len(patterns))
+        return train(net, patterns)
+
+    monkeypatch.setattr(prefetch, "train", counted)
+    for full in range(64):
+        windows = [
+            [make_session("ab"[i % 2], [(10, f"v{i % 3}"), (20, f"v{i % 3}")])]
+            if full >> i & 1 else []
+            for i in range(6)
+        ]
+        calls.clear()
+        with _Logged() as logged:
+            results = sliding_run(windows, base, config, history_windows=history_windows)
+        # A window trains when the windows in its range that hold a pattern
+        # are some and not the same as the window before's.
+        trainings, previous = 0, set()
+        for w in range(5):
+            first = max(0, w + 1 - history_windows) if history_windows else 0
+            now = {i for i in range(first, w + 1) if windows[i]}
+            trainings += bool(now) and now != previous
+            previous = now
+        assert len(calls) == trainings
+        assert (results, logged) == _direct_sliding_run(windows, base, config, history_windows)
+
+
+def test_sliding_run_cost_outside_trainings_is_linear_in_windows():
+    # One training, then 20,000 windows that reuse it. Walking every earlier
+    # window once per window is quadratic and takes several times the bound.
+    session = make_session("a", [(10, "v1"), (20, "v1")])
+    windows = [[session]] + [[]] * 20_000 + [[session]]
+    start = time.perf_counter()
+    results = sliding_run(windows, base_of("v1"), Art1Config(1, 0.5, 1))
+    elapsed = time.perf_counter() - start
+    assert len(results) == 20_001
+    assert results[-1] == (20_000, EvaluationResult((CacheMetrics(0, 1, 1, 1),), ()))
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def test_sliding_run_needs_one_pattern_list_per_window():
