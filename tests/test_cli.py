@@ -295,15 +295,50 @@ MID_SCALE_RUN_SHA256 = {
 }
 
 
-def test_mid_scale_run_outputs_match_golden_digests(tmp_path):
+# Two replays of that trace with `--max-clusters 64 --force-assign`, where
+# every training fills the cap and most presentations fall back to the
+# closest cluster: with the default epoch limit all 8 trainings converge in
+# 4-5 epochs, with 695-750 fallbacks in the confirming epoch; with
+# `--max-epochs 3` none converges. "stderr" is the log lines as `main`
+# writes them. These sha256s were recorded while every full-network search
+# still ranked all clusters in every epoch.
+MID_SCALE_CAPPED_RUN_SHA256 = {
+    (): {
+        "metrics.csv": "8790a452de7d22c1eee05a001623d4da68ce536895287613a4f66c7001f5c264",
+        "cluster_counts.csv": "633929a43d0c4c708f9c76a70b0a7da03fb2ceaf775fd8cc8cfa322ecab62bd9",
+        "network.snapshot": "714183b6f60e733b497ca46648cb9dad45e7e4b8d823a0def61c1db5e579cd8b",
+        "stderr": "3ec4ef56ad1076d332106a71c2f4c67e5ad3a77ea55f787fee766734301bf22f",
+    },
+    ("--max-epochs", "3"): {
+        "metrics.csv": "de8b05c1c29b352b27d03990f084851241a350625bbc42481706a86f8b9f14f2",
+        "cluster_counts.csv": "633929a43d0c4c708f9c76a70b0a7da03fb2ceaf775fd8cc8cfa322ecab62bd9",
+        "network.snapshot": "714183b6f60e733b497ca46648cb9dad45e7e4b8d823a0def61c1db5e579cd8b",
+        "stderr": "886e81f7688335ed679b47c64647f70a1822700f653b0333e21609faf6171128",
+    },
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_mid_scale_run_outputs_match_golden_digests(tmp_path, caplog):
     out = tmp_path / "out"
     ini = write_ini(tmp_path, MID_SCALE_INI)
     assert main(["--config", ini, "--seed", "7", "--dump-patterns", "--out", str(out)]) == EXIT_OK
-    digests = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in MID_SCALE_RUN_SHA256
-    }
+    digests = {name: _sha256((out / name).read_bytes()) for name in MID_SCALE_RUN_SHA256}
     assert digests == MID_SCALE_RUN_SHA256
+    caplog.set_level(logging.INFO)
+    for n, (flags, expected) in enumerate(MID_SCALE_CAPPED_RUN_SHA256.items()):
+        capped = tmp_path / f"capped{n}"
+        caplog.clear()
+        argv = ["--input", str(out / "trace.log"), "--max-clusters", "64", "--force-assign",
+                *flags, "--out", str(capped)]
+        assert main(argv) == EXIT_OK
+        stderr = "".join(f"{r.levelname} {r.getMessage()}\n" for r in caplog.records)
+        digests = {name: _sha256((capped / name).read_bytes()) for name in expected if name != "stderr"}
+        digests["stderr"] = _sha256(stderr.encode())
+        assert digests == expected, flags
 
 
 def test_example_config_outputs_do_not_depend_on_string_hashing(tmp_path):
