@@ -173,12 +173,25 @@ def _learn(
         log.append(j)
 
 
+def _ranking(tables: list[tuple[float, ...]], overlaps: list[int]) -> tuple[int, ...]:
+    """Every cluster by descending match value, ties to the lowest index.
+
+    The rejections of a search in which no cluster passes vigilance.
+    """
+    values = [table[k] for table, k in zip(tables, overlaps)]
+    # A stable sort keeps equal values in ascending index order even when
+    # reversed.
+    return tuple(sorted(range(len(values)), key=values.__getitem__, reverse=True))
+
+
 def _present(
-    net: Art1Network, tables: list[tuple[float, ...]], x: int, log: list[int]
-) -> tuple[int, tuple[int, ...]]:
+    net: Art1Network, tables: list[tuple[float, ...]], x: int, log: list[int], rank: bool
+) -> tuple[int, tuple[int, ...] | None]:
     """One search: (cluster, rejected clusters), as present_pattern.
 
-    Appends to `log` every cluster that it creates or shrinks.
+    Appends to `log` every cluster that it creates or shrinks. A full network
+    that no cluster passes falls back without ranking its clusters, and
+    gives None for `rejected`, unless `rank` is set.
     """
     # tables[j] is _match_table(|t_j|) for prototype j; _learn and cluster
     # creation keep it in step with net.prototypes.
@@ -186,15 +199,33 @@ def _present(
     size = x.bit_count()
     vigilance = net.config.vigilance
     overlaps = [(x & t).bit_count() for t in protos]
+    if len(protos) >= net.config.max_clusters:
+        # Similarity grows with overlap, so when the largest overlap fails
+        # vigilance every cluster fails, and the search ends in a fallback to
+        # the closest cluster, the lowest-index largest overlap, without the
+        # walk below. Below the cap this test costs more than it saves.
+        best = max(overlaps)
+        if best / size < vigilance:
+            best_cluster = overlaps.index(best)
+            if not net.config.force_assign:
+                raise CapacityError(best_cluster, best / size)
+            rejected = _ranking(tables, overlaps) if rank else None
+            # With no shared bit, learning would leave an all-zero prototype.
+            if best:
+                _learn(protos, tables, log, best_cluster, x)
+            return best_cluster, rejected
     rejected: tuple[int, ...] = ()
     if overlaps:
         values = [table[k] for table, k in zip(tables, overlaps)]
         # Clusters are tried by descending match value, ties to the lowest
         # index. The first, the lowest-index maximum, is tested before the
-        # full order is sorted. On the seed-7 benchmark traces the first / a
-        # later / no candidate passes in 57/30/14% of the calls here on
-        # sweep-heavy, 98/0/2% on ingest-heavy and 14/5/82% on sliding-capped
-        # (train's replayed presentations never get here).
+        # full order is sorted. On the seed-7 benchmark traces the searches
+        # end in a first pick / a pick after a reset / a new cluster / a
+        # fallback 2433/1277/584/0 times on sweep-heavy (4294 searches of
+        # 6720 presentations; train replays the rest), 2913/0/65/0 times on
+        # ingest-heavy (2978 of 3800) and 433/154/160/2426 times on
+        # sliding-capped (3173 of 3360), where the full-network test above
+        # settles every fallback before this walk.
         j = values.index(max(values))
         if overlaps[j] / size >= vigilance:
             _learn(protos, tables, log, j, x)
@@ -212,21 +243,12 @@ def _present(
                 _learn(protos, tables, log, j, x)
                 return j, tuple(order[:n])
         rejected = tuple(order)
-    if len(protos) < net.config.max_clusters:
-        log.append(len(protos))
-        protos.append(x)
-        tables.append(_match_table(size))
-        return len(protos) - 1, rejected
-    # Every cluster was rejected; similarity grows with overlap, so the
-    # closest one is the lowest-index maximum overlap.
-    best = max(overlaps)
-    best_cluster = overlaps.index(best)
-    if net.config.force_assign:
-        # With no shared bit, learning would leave an all-zero prototype.
-        if best:
-            _learn(protos, tables, log, best_cluster, x)
-        return best_cluster, rejected
-    raise CapacityError(best_cluster, best / size)
+    # No cluster passed, so the network is below its cap: a full one that
+    # gets here has a cluster that passes.
+    log.append(len(protos))
+    protos.append(x)
+    tables.append(_match_table(size))
+    return len(protos) - 1, rejected
 
 
 def present_pattern(net: Art1Network, pattern: Sequence[int]) -> int:
@@ -242,7 +264,7 @@ def present_pattern(net: Art1Network, pattern: Sequence[int]) -> int:
     x = _to_mask(pattern, net.config.input_dim)
     if not x:
         raise ValueError("cannot present an all-zero pattern")
-    return _present(net, _tables(net.prototypes), x, [])[0]
+    return _present(net, _tables(net.prototypes), x, [], False)[0]
 
 
 def train(net: Art1Network, patterns: Sequence[Sequence[int]]) -> Assignment:
@@ -263,6 +285,15 @@ def train(net: Art1Network, patterns: Sequence[Sequence[int]]) -> Assignment:
     higher index), the search would pick j first again, rejecting nothing,
     and j would learn nothing. A pick after a reset always shrinks its
     cluster, so only first picks are replayed.
+
+    Only the returned epoch's rejections are kept, so a full network's
+    search ranks its clusters for a fallback only in the epoch at
+    max_epochs. An epoch that repeats the one before changes no prototype
+    and creates no cluster: each pattern rejoins the cluster it joined
+    then, which learns nothing, since fast learning left that prototype
+    inside the pattern and a fallback sharing no bit does not learn. So
+    that epoch's only resets are fallbacks, and they are ranked after the
+    loop against the final prototypes.
     """
     masks = []
     for k, pattern in enumerate(patterns):
@@ -281,8 +312,9 @@ def train(net: Art1Network, patterns: Sequence[Sequence[int]]) -> Assignment:
     log: list[int] = []
     replays: list[tuple[int, int] | None] = [None] * len(masks)
     for epochs in range(1, net.config.max_epochs + 1):
+        rank = epochs == net.config.max_epochs
         clusters: list[int] = []
-        rejections: list[tuple[int, ...]] = []
+        rejections: list[tuple[int, ...] | None] = []
         for k, x in enumerate(masks):
             replay = replays[k]
             if replay is not None:
@@ -301,14 +333,21 @@ def train(net: Art1Network, patterns: Sequence[Sequence[int]]) -> Assignment:
                         rejections.append(())
                         continue
             start = len(log)
-            index, rejected = _present(net, tables, x, log)
-            replays[k] = None if rejected or len(log) > start else (start, index)
+            index, rejected = _present(net, tables, x, log, rank)
+            # An unranked fallback (None) is no first pick either.
+            replays[k] = None if rejected != () or len(log) > start else (start, index)
             clusters.append(index)
             rejections.append(rejected)
         if clusters == previous:
-            return Assignment(tuple(clusters), tuple(rejections), True, epochs)
+            break
         previous = clusters
-    return Assignment(tuple(clusters), tuple(rejections), False, epochs)
+    else:
+        return Assignment(tuple(clusters), tuple(rejections), False, epochs)
+    rejections = [
+        _ranking(tables, [(x & t).bit_count() for t in protos]) if rejected is None else rejected
+        for x, rejected in zip(masks, rejections)
+    ]
+    return Assignment(tuple(clusters), tuple(rejections), True, epochs)
 
 
 def render_snapshot(net: Art1Network) -> str:

@@ -352,19 +352,46 @@ def test_a_pick_after_a_reset_shrinks_its_cluster(case, vigilance):
             assert net.prototypes[index] != before[index]
 
 
+def _counted(monkeypatch, name):
+    """Wrap art1's `name`; the list returned gets each call's result."""
+    results = []
+    function = getattr(art1, name)
+
+    def counted(*args):
+        results.append(function(*args))
+        return results[-1]
+
+    monkeypatch.setattr(art1, name, counted)
+    return results
+
+
 def test_replay_skips_searches_on_a_converging_set(monkeypatch):
     dim, patterns = _wide_patterns(5, 100)
     net = init_network(Art1Config(dim, 0.6, len(patterns), 10))
-    searches = []
-    search = art1._present
-
-    def counted(*args):
-        searches.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(art1, "_present", counted)
+    searches = _counted(monkeypatch, "_present")
     assignment = train(net, patterns)
     assert assignment.converged
     # 500 presentations. A replay that repeats a pick only when nothing at
     # all was logged since is exact too, but makes 328 searches here.
     assert (len(searches), assignment.epochs) == (234, 5)
+
+
+@pytest.mark.parametrize(
+    "max_epochs, converged, epochs, unranked", [(3, False, 3, 70), (10, True, 5, 289)]
+)
+def test_a_full_network_ranks_only_the_returned_epochs_fallbacks(
+    monkeypatch, max_epochs, converged, epochs, unranked
+):
+    # Every epoch after the cap fills falls back in most presentations, but
+    # the clusters are ranked once per fallback that `rejections` returns:
+    # during the epoch at max_epochs, or after the loop for an epoch that
+    # confirms convergence. The other fallbacks' searches return None.
+    dim, patterns = _wide_patterns(2, 100)
+    net = init_network(Art1Config(dim, 0.6, 30, max_epochs, force_assign=True))
+    searches = _counted(monkeypatch, "_present")
+    ranked = _counted(monkeypatch, "_ranking")
+    assignment = train(net, patterns)
+    assert (assignment.converged, assignment.epochs) == (converged, epochs)
+    fallbacks = [r for r in assignment.rejections if len(r) == 30]
+    assert ranked == fallbacks and len(fallbacks) == 73
+    assert sum(rejected is None for _, rejected in searches) == unranked
