@@ -98,7 +98,7 @@ class Assignment(namedtuple("Assignment", "clusters rejections converged epochs"
 
     `clusters[k]` is the cluster of pattern k after the last epoch and
     `rejections[k]` is the tuple of clusters that won the match but failed the
-    vigilance test for pattern k during that epoch, in rejection order.
+    vigilance test for pattern k during that epoch, in ascending index order.
     """
 
     __slots__ = ()
@@ -173,25 +173,12 @@ def _learn(
         log.append(j)
 
 
-def _ranking(tables: list[tuple[float, ...]], overlaps: list[int]) -> tuple[int, ...]:
-    """Every cluster by descending match value, ties to the lowest index.
-
-    The rejections of a search in which no cluster passes vigilance.
-    """
-    values = [table[k] for table, k in zip(tables, overlaps)]
-    # A stable sort keeps equal values in ascending index order even when
-    # reversed.
-    return tuple(sorted(range(len(values)), key=values.__getitem__, reverse=True))
-
-
 def _present(
-    net: Art1Network, tables: list[tuple[float, ...]], x: int, log: list[int], rank: bool
-) -> tuple[int, tuple[int, ...] | None]:
-    """One search: (cluster, rejected clusters), as present_pattern.
+    net: Art1Network, tables: list[tuple[float, ...]], x: int, log: list[int]
+) -> tuple[int, tuple[int, ...]]:
+    """One search: (cluster, its resets in index order), as present_pattern.
 
-    Appends to `log` every cluster that it creates or shrinks. A full network
-    that no cluster passes falls back without ranking its clusters, and
-    gives None for `rejected`, unless `rank` is set.
+    Appends to `log` every cluster that it creates or shrinks.
     """
     # tables[j] is _match_table(|t_j|) for prototype j; _learn and cluster
     # creation keep it in step with net.prototypes.
@@ -203,52 +190,49 @@ def _present(
         # Similarity grows with overlap, so when the largest overlap fails
         # vigilance every cluster fails, and the search ends in a fallback to
         # the closest cluster, the lowest-index largest overlap, without the
-        # walk below. Below the cap this test costs more than it saves.
+        # match values below. Below the cap this test costs more than it saves.
         best = max(overlaps)
         if best / size < vigilance:
             best_cluster = overlaps.index(best)
             if not net.config.force_assign:
                 raise CapacityError(best_cluster, best / size)
-            rejected = _ranking(tables, overlaps) if rank else None
             # With no shared bit, learning would leave an all-zero prototype.
             if best:
                 _learn(protos, tables, log, best_cluster, x)
-            return best_cluster, rejected
-    rejected: tuple[int, ...] = ()
+            return best_cluster, tuple(range(len(protos)))
     if overlaps:
         values = [table[k] for table, k in zip(tables, overlaps)]
-        # Clusters are tried by descending match value, ties to the lowest
-        # index. The first, the lowest-index maximum, is tested before the
-        # full order is sorted. On the seed-7 benchmark traces the searches
-        # end in a first pick / a pick after a reset / a new cluster / a
-        # fallback 2433/1277/584/0 times on sweep-heavy (4294 searches of
-        # 6720 presentations; train replays the rest), 2913/0/65/0 times on
+        # Clusters rank by descending match value, ties to the lowest index,
+        # and the search picks the first that passes vigilance; every cluster
+        # ranked ahead of it is reset. The first, the lowest-index maximum, is
+        # tested alone. On the seed-7 benchmark traces the searches end in a
+        # first pick / a pick after a reset / a new cluster / a fallback
+        # 2433/1277/584/0 times on sweep-heavy (4294 searches of 6720
+        # presentations; train replays the rest), 2913/0/65/0 times on
         # ingest-heavy (2978 of 3800) and 433/154/160/2426 times on
         # sliding-capped (3173 of 3360), where the full-network test above
-        # settles every fallback before this walk.
+        # settles every fallback.
         j = values.index(max(values))
         if overlaps[j] / size >= vigilance:
             _learn(protos, tables, log, j, x)
-            return j, rejected
-        # A stable sort keeps equal values in ascending index order even
-        # when reversed, so this is descending value, ties to the lowest
-        # index, and its head is j.
-        order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-        for n in range(1, len(order)):
-            j = order[n]
-            if overlaps[j] / size >= vigilance:
-                # j shares more bits with x than the clusters ranked ahead of
-                # it, so it is no subset of x (k / (0.5 + |t|) <= k / (0.5 + k),
-                # which grows with k) and shrinks here.
-                _learn(protos, tables, log, j, x)
-                return j, tuple(order[:n])
-        rejected = tuple(order)
+            return j, ()
+        passing = [c for c, k in enumerate(overlaps) if k / size >= vigilance]
+        if passing:
+            # max keeps the first of equal values, the lowest index.
+            j = max(passing, key=values.__getitem__)
+            value = values[j]
+            # j shares more bits with x than the clusters ranked ahead of it,
+            # so it is no subset of x (k / (0.5 + |t|) <= k / (0.5 + k), which
+            # grows with k) and shrinks here.
+            _learn(protos, tables, log, j, x)
+            resets = [c for c, v in enumerate(values) if v > value or (v == value and c < j)]
+            return j, tuple(resets)
     # No cluster passed, so the network is below its cap: a full one that
     # gets here has a cluster that passes.
     log.append(len(protos))
     protos.append(x)
     tables.append(_match_table(size))
-    return len(protos) - 1, rejected
+    return len(protos) - 1, tuple(range(len(protos) - 1))
 
 
 def present_pattern(net: Art1Network, pattern: Sequence[int]) -> int:
@@ -264,7 +248,7 @@ def present_pattern(net: Art1Network, pattern: Sequence[int]) -> int:
     x = _to_mask(pattern, net.config.input_dim)
     if not x:
         raise ValueError("cannot present an all-zero pattern")
-    return _present(net, _tables(net.prototypes), x, [], False)[0]
+    return _present(net, _tables(net.prototypes), x, [])[0]
 
 
 def train(net: Art1Network, patterns: Sequence[Sequence[int]]) -> Assignment:
@@ -285,15 +269,6 @@ def train(net: Art1Network, patterns: Sequence[Sequence[int]]) -> Assignment:
     higher index), the search would pick j first again, rejecting nothing,
     and j would learn nothing. A pick after a reset always shrinks its
     cluster, so only first picks are replayed.
-
-    Only the returned epoch's rejections are kept, so a full network's
-    search ranks its clusters for a fallback only in the epoch at
-    max_epochs. An epoch that repeats the one before changes no prototype
-    and creates no cluster: each pattern rejoins the cluster it joined
-    then, which learns nothing, since fast learning left that prototype
-    inside the pattern and a fallback sharing no bit does not learn. So
-    that epoch's only resets are fallbacks, and they are ranked after the
-    loop against the final prototypes.
     """
     masks = []
     for k, pattern in enumerate(patterns):
@@ -312,9 +287,8 @@ def train(net: Art1Network, patterns: Sequence[Sequence[int]]) -> Assignment:
     log: list[int] = []
     replays: list[tuple[int, int] | None] = [None] * len(masks)
     for epochs in range(1, net.config.max_epochs + 1):
-        rank = epochs == net.config.max_epochs
         clusters: list[int] = []
-        rejections: list[tuple[int, ...] | None] = []
+        rejections: list[tuple[int, ...]] = []
         for k, x in enumerate(masks):
             replay = replays[k]
             if replay is not None:
@@ -333,21 +307,14 @@ def train(net: Art1Network, patterns: Sequence[Sequence[int]]) -> Assignment:
                         rejections.append(())
                         continue
             start = len(log)
-            index, rejected = _present(net, tables, x, log, rank)
-            # An unranked fallback (None) is no first pick either.
-            replays[k] = None if rejected != () or len(log) > start else (start, index)
+            index, rejected = _present(net, tables, x, log)
+            replays[k] = None if rejected or len(log) > start else (start, index)
             clusters.append(index)
             rejections.append(rejected)
         if clusters == previous:
-            break
+            return Assignment(tuple(clusters), tuple(rejections), True, epochs)
         previous = clusters
-    else:
-        return Assignment(tuple(clusters), tuple(rejections), False, epochs)
-    rejections = [
-        _ranking(tables, [(x & t).bit_count() for t in protos]) if rejected is None else rejected
-        for x, rejected in zip(masks, rejections)
-    ]
-    return Assignment(tuple(clusters), tuple(rejections), True, epochs)
+    return Assignment(tuple(clusters), tuple(rejections), False, epochs)
 
 
 def render_snapshot(net: Art1Network) -> str:

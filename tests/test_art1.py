@@ -294,6 +294,26 @@ def test_train_records_rejections():
     assert assignment.rejections[1] == (0,)
 
 
+def test_train_lists_resets_in_index_order():
+    # x has 5 bits and vigilance is 0.6. By match value the clusters rank
+    # 2 (0.8), then 1, 3 and 4 (2/3 each, 1/1.5 = 3/4.5 exactly) and 0 last.
+    # Clusters 2 and 1 share 2 and 1 bits with x and fail; cluster 3 shares
+    # 3 bits, passes at exactly 0.6 and beats its tie with cluster 4 by index.
+    # Cluster 0 ranks after the winner, so it is not reset.
+    net = net_with(vigilance=0.6, dim=8, cap=8, epochs=1)
+    rows = [
+        (1, 0, 0, 0, 0, 1, 1, 0),
+        (0, 1, 0, 0, 0, 0, 0, 0),
+        (0, 0, 1, 1, 0, 0, 0, 0),
+        (1, 1, 1, 0, 0, 1, 0, 0),
+        (0, 0, 1, 1, 1, 0, 1, 0),
+    ]
+    net.prototypes = [_to_mask(row, 8) for row in rows]
+    assignment = train(net, [(1, 1, 1, 1, 1, 0, 0, 0)])
+    assert (assignment.clusters, assignment.rejections) == ((3,), ((1, 2),))
+    assert net.top_down[3] == [1, 1, 1, 0, 0, 0, 0, 0]
+
+
 def test_train_capacity_matches_reference():
     patterns = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     net = init_network(Art1Config(3, 1.0, 2, 1))

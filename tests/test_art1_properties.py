@@ -151,7 +151,7 @@ def test_search_order_matches_straight_line_scan(case_cap, vigilance, epochs, fo
     else:
         assert capacity is None
         assert list(assignment.clusters) == clusters
-        assert list(assignment.rejections) == rejections
+        assert list(assignment.rejections) == [tuple(sorted(r)) for r in rejections]
     assert net.top_down == prototypes
 
 
@@ -234,7 +234,7 @@ def _assert_train_matches_straight_line(net, patterns):
     else:
         assert capacity is None
         assert list(assignment.clusters) == clusters
-        assert list(assignment.rejections) == rejections
+        assert list(assignment.rejections) == [tuple(sorted(r)) for r in rejections]
     assert net.top_down == prototypes
     return capacity, rejections
 
@@ -377,21 +377,22 @@ def test_replay_skips_searches_on_a_converging_set(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "max_epochs, converged, epochs, unranked", [(3, False, 3, 70), (10, True, 5, 289)]
+    "max_epochs, converged, epochs, fallback_searches", [(3, False, 3, 143), (10, True, 5, 289)]
 )
-def test_a_full_network_ranks_only_the_returned_epochs_fallbacks(
-    monkeypatch, max_epochs, converged, epochs, unranked
+def test_a_full_network_fallback_resets_every_cluster(
+    monkeypatch, max_epochs, converged, epochs, fallback_searches
 ):
-    # Every epoch after the cap fills falls back in most presentations, but
-    # the clusters are ranked once per fallback that `rejections` returns:
-    # during the epoch at max_epochs, or after the loop for an epoch that
-    # confirms convergence. The other fallbacks' searches return None.
+    # Every epoch after the cap fills falls back in most presentations. Each
+    # fallback resets all 30 clusters, listed in index order, in every epoch,
+    # not only in the one `rejections` returns (the epoch at max_epochs, or
+    # the one that confirms convergence).
     dim, patterns = _wide_patterns(2, 100)
     net = init_network(Art1Config(dim, 0.6, 30, max_epochs, force_assign=True))
     searches = _counted(monkeypatch, "_present")
-    ranked = _counted(monkeypatch, "_ranking")
     assignment = train(net, patterns)
     assert (assignment.converged, assignment.epochs) == (converged, epochs)
     fallbacks = [r for r in assignment.rejections if len(r) == 30]
-    assert ranked == fallbacks and len(fallbacks) == 73
-    assert sum(rejected is None for _, rejected in searches) == unranked
+    assert fallbacks == [tuple(range(30))] * 73
+    assert all(rejected is not None for _, rejected in searches)
+    resets = [rejected for _, rejected in searches if len(rejected) == 30]
+    assert resets == [tuple(range(30))] * fallback_searches
