@@ -72,12 +72,11 @@ def _train_fresh(
     text). `_log_training` reports the outcome under `label`."""
     net = init_network(config)
     try:
-        assignment = train(net, patterns)
+        assignment, error = train(net, patterns), None
     except CapacityError as exc:
-        _log_training(label, None, str(exc))
-        return None, None, str(exc)
-    _log_training(label, assignment, None)
-    return net, assignment, None
+        net, assignment, error = None, None, str(exc)
+    _log_training(label, assignment, error)
+    return net, assignment, error
 
 
 def _log_training(label: str, assignment: Assignment | None, error: str | None) -> None:
@@ -132,14 +131,14 @@ def evaluate_plan(
         cluster = membership.get(session.client_id)
         if cluster is None:
             unclustered.add(session.client_id)
-            continue
-        requested.setdefault(cluster, set()).update(session.videos)
-    member_counts = Counter(membership.values())
+        elif cluster in requested:
+            requested[cluster].update(session.videos)
+    members = Counter(membership.values())
     metrics = []
     for cluster in sorted(plan):
         urls = plan[cluster]
-        hits = len(set(urls) & requested.get(cluster, set()))
-        metrics.append(CacheMetrics(cluster, member_counts.get(cluster, 0), len(urls), hits))
+        hits = len(requested[cluster].intersection(urls))
+        metrics.append(CacheMetrics(cluster, members[cluster], len(urls), hits))
     return EvaluationResult(tuple(metrics), tuple(sorted(unclustered)))
 
 
@@ -168,7 +167,10 @@ def sliding_run(
     windows still run. Each training runs through `_train_fresh`, labelled
     `window W`, under `art_config` (its force_assign rule included). Window w
     retrains only when it or the window leaving its range kept patterns; any
-    other window reuses the last training, in O(1), and logs its outcome again.
+    other window reuses the last training's plan and membership, with no
+    rebuild and no training. It still scores that plan against its own next
+    window, and logs the training's outcome again, which recounts the
+    training's fallbacks over every history pattern.
 
     It trains on `patterns`, the kept patterns of each window in window
     order, as the caller extracted them; every history that includes a

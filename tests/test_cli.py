@@ -133,49 +133,6 @@ def test_config_file_may_start_with_a_byte_order_mark(tmp_path, run_configs):
     assert run_configs[0].workload.num_clients == 10
 
 
-def test_unknown_workload_key_is_usage_error(tmp_path, capsys):
-    ini = write_ini(tmp_path, SMALL_INI.replace("num_clients", "num_client"))
-    assert main(["--config", ini, "--out", str(tmp_path / "out")]) == EXIT_USAGE
-    assert "'num_client'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "text, named",
-    [
-        (SMALL_INI + "\n[clustering]\nvigilence = 0.9\n", "unknown [clustering] key 'vigilence'"),
-        (SMALL_INI.replace("seed = 3", "sed = 3"), "unknown [experiment] key 'sed'"),
-        (SMALL_INI + "\n[clusterin]\nvigilance = 0.9\n", "unknown section [clusterin]"),
-        ("[DEFAULT]\nvigilance = 0.9\n", "unknown section [DEFAULT]"),
-        ("[DEFAULT]\nvigilance = 0.9\n[clustering]\nmax_epochs = 5\n",
-         "unknown section [DEFAULT]"),
-        ("[DEFAULT]\nvigilance = 0.9\n" + SMALL_INI, "unknown section [DEFAULT]"),
-    ],
-    ids=["clustering-key", "experiment-key", "section", "default", "default-beside-clustering",
-         "default-beside-experiment"],
-)
-def test_unknown_config_key_or_section_is_usage_error(tmp_path, capsys, text, named):
-    ini = write_ini(tmp_path, text)
-    assert main(["--config", ini, "--out", str(tmp_path / "out")]) == EXIT_USAGE
-    assert named in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize(
-    "text, flags, message",
-    [
-        (SMALL_INI, ["--sweep", ""], "error: empty sweep grid"),
-        (SMALL_INI + "\n[clustering]\nsweep =\n", [],
-         "error: bad config {ini}: [clustering] 'sweep' needs a list of numbers, got ''"),
-    ],
-    ids=["flag", "config"],
-)
-def test_empty_sweep_grid_is_usage_error(tmp_path, capsys, text, flags, message):
-    ini = write_ini(tmp_path, text)
-    argv = ["--config", ini, "--out", str(tmp_path / "out"), *flags]
-    assert main(argv) == EXIT_USAGE
-    assert message.format(ini=ini) in capsys.readouterr().err
-
-
 # Every [experiment]/[clustering] key that takes a value: the setting it
 # sets, its flag, a non-default value for the file and another for the flag.
 VALUE_SETTINGS = [
@@ -368,15 +325,6 @@ def test_seed_flag_overrides_config(tmp_path):
     assert (out_a / "trace.log").read_bytes() != (out_b / "trace.log").read_bytes()
 
 
-def test_sweep_flag_sets_grid(tmp_path):
-    out = tmp_path / "out"
-    code = main(["--config", write_ini(tmp_path), "--out", str(out), "--sweep", "0.2,0.9"])
-    assert code == EXIT_OK
-    lines = (out / "cluster_counts.csv").read_text().splitlines()
-    assert len(lines) == 3
-    assert lines[1].startswith("0.2,") and lines[2].startswith("0.9,")
-
-
 def test_vigilance_off_the_grid_is_trained_but_not_counted(tmp_path):
     out = tmp_path / "out"
     argv = ["--config", write_ini(tmp_path), "--out", str(out), "--vigilance", "0.33"]
@@ -396,15 +344,6 @@ def test_generated_run_ignores_csv_flag(tmp_path):
         assert (plain / name).read_bytes() == (csv / name).read_bytes(), name
 
 
-def test_dump_patterns_flag(tmp_path):
-    out = tmp_path / "out"
-    code = main(["--config", write_ini(tmp_path), "--out", str(out), "--dump-patterns"])
-    assert code == EXIT_OK
-    lines = (out / "patterns.csv").read_text().splitlines()
-    assert lines[0].split(",")[0].startswith("v")
-    assert set(lines[1].split(",")) <= {"0", "1"}
-
-
 def test_run_without_dump_patterns_removes_stale_patterns(tmp_path):
     ini, out = write_ini(tmp_path), tmp_path / "out"
     assert main(["--config", ini, "--out", str(out), "--dump-patterns"]) == EXIT_OK
@@ -421,15 +360,6 @@ def test_single_window_skips_metrics(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", ini, "--out", str(out)]) == EXIT_OK
     assert (out / "metrics.csv").read_text() == "window,cluster,members,prefetched,hits,accuracy\n"
-
-
-def test_schedule_section_parses(tmp_path):
-    ini = write_ini(
-        tmp_path,
-        SMALL_INI + "\n[schedule]\n18-20 = 3.0, 1.0\n7 = 1.0 1.0\n",
-    )
-    out = tmp_path / "out"
-    assert main(["--config", ini, "--out", str(out)]) == EXIT_OK
 
 
 def _shifted(line: str) -> str:
@@ -604,6 +534,21 @@ def test_library_run_keeps_the_gc(tmp_path, monkeypatch):
 # --- exit codes ---
 
 
+# The files a row of the table below names as {name}; each is written under
+# its name before the row runs. {ini} is the row's config text, when it has
+# one, and {missing} is a path with no file.
+REJECTION_FILES = {
+    "taken": b"",
+    "huge": b"c1 u1 9223372036854775807 v1 200 5\nc1 u1 9223372036854775808 v1 200 5\n",
+    "latin": b"c1 u1 100 v\xff 200 100\n",
+    "latin_ini": b"[experiment]\nseed = 3 # \xff\n",
+    "malformed": b"c1 u1 notatimestamp v1 200 100\n",
+    "misses": b"c1 u1 100 v1 404 100\nc1 u1 120 v1 500 100\n",
+    # every video seen once per session, below the default threshold of 2
+    "thin": b"c1 u1 100 v1 200 100\nc1 u1 120 v2 200 100\n",
+}
+
+
 @pytest.mark.parametrize(
     "ini, flags, code, message",
     [
@@ -611,11 +556,15 @@ def test_library_run_keeps_the_gc(tmp_path, monkeypatch):
         (None, ["--vigilance", "1.5"], EXIT_USAGE, "vigilance must be in [0, 1], got 1.5"),
         (None, ["--config", "{missing}"], EXIT_USAGE,
          "cannot read config {missing}: [Errno 2] No such file or directory: '{missing}'"),
+        (None, ["--config", "{latin_ini}"], EXIT_USAGE,
+         "cannot read config {latin_ini}: 'utf-8' codec can't decode byte 0xff in position 24:"
+         " invalid start byte"),
         (SMALL_INI, ["--window-spacing", "100"], EXIT_USAGE,
          "window_spacing 100 cannot hold a visit of up to 30 requests (needs > 900)"),
         # With config-overridden: a zero spacing from a config or a flag has one message.
         (None, ["--window-spacing", "0"], EXIT_USAGE, "window_spacing must be positive"),
         (None, ["--sweep", "0.3,1.5"], EXIT_USAGE, "sweep value 1.5 outside [0, 1]"),
+        (SMALL_INI, ["--sweep", ""], EXIT_USAGE, "empty sweep grid"),
         (None, ["--session-idle", "0"], EXIT_USAGE, "session idle bound must be positive"),
         (None, ["--freq-threshold", "0"], EXIT_USAGE, "freq_threshold must be >= 1"),
         (None, ["--history-windows", "-1"], EXIT_USAGE, "history_windows must be >= 0"),
@@ -623,7 +572,23 @@ def test_library_run_keeps_the_gc(tmp_path, monkeypatch):
         (None, ["--max-epochs", "0"], EXIT_USAGE, "max_epochs must be >= 1"),
         ("[experiment]\nformat = tsv\n", [], EXIT_USAGE,
          "bad config {ini}: unknown log format 'tsv'"),
-        ("seed = 3\n", [], EXIT_USAGE, "bad config {ini}: File contains no section headers."),
+        ("seed = 3\n", [], EXIT_USAGE,
+         "bad config {ini}: File contains no section headers.\n"
+         "file: '{ini}', line: 1\n'seed = 3\\n'"),
+        (SMALL_INI + "\n[clusterin]\nvigilance = 0.9\n", [], EXIT_USAGE,
+         "bad config {ini}: unknown section [clusterin]"),
+        ("[DEFAULT]\nvigilance = 0.9\n", [], EXIT_USAGE,
+         "bad config {ini}: unknown section [DEFAULT]"),
+        ("[DEFAULT]\nvigilance = 0.9\n[clustering]\nmax_epochs = 5\n", [], EXIT_USAGE,
+         "bad config {ini}: unknown section [DEFAULT]"),
+        ("[DEFAULT]\nvigilance = 0.9\n" + SMALL_INI, [], EXIT_USAGE,
+         "bad config {ini}: unknown section [DEFAULT]"),
+        (SMALL_INI.replace("seed = 3", "sed = 3"), [], EXIT_USAGE,
+         "bad config {ini}: unknown [experiment] key 'sed'"),
+        (SMALL_INI + "\n[clustering]\nvigilence = 0.9\n", [], EXIT_USAGE,
+         "bad config {ini}: unknown [clustering] key 'vigilence'"),
+        (SMALL_INI.replace("num_clients", "num_client"), [], EXIT_USAGE,
+         "bad config {ini}: unknown [workload] key 'num_client'"),
         ("[schedule]\n18 =\n", [], EXIT_USAGE,
          "bad config {ini}: [schedule] '18' needs a list of numbers, got ''"),
         ("[schedule]\n18 = 4 x 1 1 1\n", [], EXIT_USAGE,
@@ -638,6 +603,8 @@ def test_library_run_keeps_the_gc(tmp_path, monkeypatch):
          "bad config {ini}: unknown log format '%(here)s'"),
         ("[clustering]\nsweep = a b\n", [], EXIT_USAGE,
          "bad config {ini}: [clustering] 'sweep' needs a list of numbers, got 'a b'"),
+        (SMALL_INI + "\n[clustering]\nsweep =\n", [], EXIT_USAGE,
+         "bad config {ini}: [clustering] 'sweep' needs a list of numbers, got ''"),
         ("[clustering]\nmax_epochs = many\n", [], EXIT_USAGE,
          "bad config {ini}: invalid literal for int() with base 10: 'many'"),
         ("[experiment]\ndump_patterns = maybe\n", [], EXIT_USAGE,
@@ -654,78 +621,46 @@ def test_library_run_keeps_the_gc(tmp_path, monkeypatch):
          "bad config {ini}: zipf_exponent must be positive and finite, got nan"),
         ("[schedule]\n18 = 4 inf 1 1 1\n", [], EXIT_USAGE,
          "bad config {ini}: schedule hour 18 has a negative or non-finite multiplier"),
+        (None, ["--input", "{missing}"], EXIT_DATA,
+         "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"),
+        (None, ["--input", "{latin}"], EXIT_DATA,
+         "cannot read {latin}: 'utf-8' codec can't decode byte 0xff in position 11:"
+         " invalid start byte"),
+        (None, ["--input", "{malformed}"], EXIT_DATA,
+         "line 1: non-numeric timestamp, status or bytes in"
+         " ['c1', 'u1', 'notatimestamp', 'v1', '200', '100']"),
         (None, ["--input", "{huge}"], EXIT_DATA,
          "line 2: timestamp 9223372036854775808 above 2**63 - 1"),
+        (None, ["--input", "{misses}"], EXIT_DATA, "no usable events after status filtering"),
+        (None, ["--input", "{thin}"], EXIT_DATA,
+         "no pattern cleared the frequency threshold; nothing to cluster"),
     ],
-    ids=["unknown-flag", "flag-vigilance", "missing-config", "infeasible-spacing",
-         "flag-zero-spacing", "sweep-value", "session-idle", "freq-threshold", "history-windows",
-         "max-clusters", "max-epochs", "log-format", "no-section-header", "schedule-empty",
-         "schedule-garbage", "schedule-hour-24", "schedule-hour-word", "percent",
-         "percent-reference", "config-sweep", "config-int", "config-bool", "config-vigilance",
+    ids=["unknown-flag", "flag-vigilance", "missing-config", "non-utf8-config",
+         "infeasible-spacing", "flag-zero-spacing", "sweep-value", "flag-empty-sweep",
+         "session-idle", "freq-threshold", "history-windows", "max-clusters", "max-epochs",
+         "log-format", "no-section-header", "unknown-section", "default-section",
+         "default-beside-clustering", "default-beside-experiment", "unknown-experiment-key",
+         "unknown-clustering-key", "unknown-workload-key", "schedule-empty", "schedule-garbage",
+         "schedule-hour-24", "schedule-hour-word", "percent", "percent-reference",
+         "config-sweep", "config-empty-sweep", "config-int", "config-bool", "config-vigilance",
          "config-overridden", "out-is-a-file", "out-under-a-file", "config-zipf-nan",
-         "schedule-inf", "timestamp-above-int64"],
+         "schedule-inf", "missing-input", "non-utf8-input", "malformed-input",
+         "timestamp-above-int64", "no-usable-events", "nothing-clears-threshold"],
 )
 def test_rejected_settings_exit_with_their_message(tmp_path, capsys, ini, flags, code, message):
-    paths = {"ini": str(tmp_path / "exp.ini"), "taken": str(tmp_path / "taken"),
-             "huge": str(tmp_path / "huge.log"), "missing": str(tmp_path / "missing.ini")}
-    (tmp_path / "taken").write_text("", encoding="utf-8")
-    (tmp_path / "huge.log").write_text(
-        "c1 u1 9223372036854775807 v1 200 5\nc1 u1 9223372036854775808 v1 200 5\n",
-        encoding="utf-8",
-    )
+    paths = {"ini": str(tmp_path / "exp.ini"), "missing": str(tmp_path / "missing")}
+    for name, data in REJECTION_FILES.items():
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_bytes(data)
     argv = ["--out", str(tmp_path / "out")]
     if ini is not None:
         argv += ["--config", write_ini(tmp_path, ini)]
     argv += [flag.format(**paths) for flag in flags]
     assert main(argv) == code
-    assert capsys.readouterr().err.startswith(f"error: {message.format(**paths)}\n")
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
     # A bad setting stops the run before it makes the output directory; a
     # bad log line is only found by the read, after it.
     assert (tmp_path / "out").exists() == (code == EXIT_DATA)
-
-
-def test_missing_input_is_data_error(tmp_path, capsys):
-    code = main(["--input", str(tmp_path / "nope.log"), "--out", str(tmp_path)])
-    assert code == EXIT_DATA
-    assert "cannot read" in capsys.readouterr().err
-
-
-def test_non_utf8_input_is_data_error(tmp_path, capsys):
-    trace = tmp_path / "latin.log"
-    trace.write_bytes(b"c1 u1 100 v\xff 200 100\n")
-    assert main(["--input", str(trace), "--out", str(tmp_path / "out")]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read {trace}: ")
-    assert "Traceback" not in err
-
-
-def test_non_utf8_config_is_usage_error(tmp_path, capsys):
-    ini = tmp_path / "latin.ini"
-    ini.write_bytes(b"[experiment]\nseed = 3 # \xff\n")
-    assert main(["--config", str(ini), "--out", str(tmp_path / "out")]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read config {ini}: ")
-    assert "Traceback" not in err
-
-
-def test_malformed_input_is_data_error(tmp_path, capsys):
-    trace = tmp_path / "bad.log"
-    trace.write_text("c1 u1 notatimestamp v1 200 100\n", encoding="utf-8")
-    assert main(["--input", str(trace), "--out", str(tmp_path)]) == EXIT_DATA
-    assert "line 1" in capsys.readouterr().err
-
-
-def test_no_usable_events_is_data_error(tmp_path):
-    trace = tmp_path / "misses.log"
-    trace.write_text("c1 u1 100 v1 404 100\nc1 u1 120 v1 500 100\n", encoding="utf-8")
-    assert main(["--input", str(trace), "--out", str(tmp_path)]) == EXIT_DATA
-
-
-def test_nothing_clears_threshold_is_data_error(tmp_path):
-    # every video seen once per session, below the default threshold of 2
-    trace = tmp_path / "thin.log"
-    trace.write_text("c1 u1 100 v1 200 100\nc1 u1 120 v2 200 100\n", encoding="utf-8")
-    assert main(["--input", str(trace), "--out", str(tmp_path)]) == EXIT_DATA
 
 
 def test_capacity_exhaustion_is_exit_three(tmp_path, capsys):

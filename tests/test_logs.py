@@ -33,36 +33,6 @@ def test_parse_ignores_trailing_fields():
     assert rec.bytes_sent == 512
 
 
-def test_parse_too_few_fields():
-    with pytest.raises(LogParseError) as err:
-        list(iter_events(["#"] * 16 + ["c1 u1 1000"]))
-    assert err.value.line_number == 17
-    assert str(err.value) == "line 17: expected at least 6 fields, got 3"
-
-
-@pytest.mark.parametrize(
-    "line",
-    [
-        "c1 u1 notatime v42 200 512",
-        "c1 u1 1000 v42 OK 512",
-        "c1 u1 1000 v42 200 half",
-    ],
-)
-def test_parse_non_numeric_fields(line):
-    with pytest.raises(LogParseError) as err:
-        list(iter_events(["# comment", "", line]))
-    assert err.value.line_number == 3
-    assert str(err.value) == (
-        f"line 3: non-numeric timestamp, status or bytes in {line.split()!r}"
-    )
-
-
-def test_parse_negative_timestamp_rejected():
-    with pytest.raises(LogParseError) as err:
-        list(iter_events(["c1 u1 -5 v42 200 512"]))
-    assert str(err.value) == "line 1: negative timestamp -5"
-
-
 def test_parse_csv_variant():
     line = "c1, u1, 1000, v42, 200, 512"
     assert list(iter_events([line], delimiter=",")) == [AccessEvent("c1", 1000, "v42")]
@@ -305,36 +275,52 @@ def test_csv_read_events(lines, expected):
     assert read_both(lines, delimiter=",") == expected
 
 
-def test_iter_events_skips_six_token_comment():
-    lines = ["# u1 10 v1 200 5", "c1 u1 20 v2 200 5"]
-    assert read_both(lines) == ([AccessEvent("c1", 20, "v2")], None)
+def one_line(status="200", raw_bytes="5"):
+    """Client c1's request of v1 at 10 s, with these status and bytes fields."""
+    return f"c1 u1 10 v1 {status} {raw_bytes}"
 
 
-def test_iter_events_keeps_seven_field_line():
-    lines = ["c1 u1 10 v1 200 5 extra", "c1 u1 20 v2 200 5"]
-    assert read_both(lines) == ([AccessEvent("c1", 10, "v1"), AccessEvent("c1", 20, "v2")], None)
+def non_numeric(line, number=1):
+    """read_both's outcome when line `number` of a log, `line`, holds a number int() cannot read."""
+    return None, (f"line {number}: non-numeric timestamp, status or bytes in {line.split()!r}",
+                  number)
 
 
-@pytest.mark.parametrize("status", ["0200", "+200", "00200", "+0200", "2_00", "٢٠٠"])
-def test_iter_events_keeps_other_spellings_of_a_passing_status(status):
-    assert read_both([f"c1 u1 10 v1 {status} 5"]) == ([AccessEvent("c1", 10, "v1")], None)
+KEPT = ([AccessEvent("c1", 10, "v1")], None)
+NON_NUMERIC_LINES = {"timestamp": "c1 u1 notatime v42 200 512",
+                     "status": "c1 u1 1000 v42 OK 512", "bytes": "c1 u1 1000 v42 200 half"}
+# The fast path takes at most 640 decimal digits; every other spelling
+# that int() reads goes through the shared step, with the same result.
+GOOD_BYTES = {"arabic-indic": "٥", "fullwidth": "５", "plus": "+5", "underscore": "5_0",
+              "640-zeros": "0" * 640, "640-digits": "1" * 640, "641-digits": "1" * 641,
+              "641-arabic-indic": "٥" * 641}
+BAD_BYTES = {"superscript": "²", "digit-superscript": "5²", "circled": "①",
+             "arabic-indic-x": "٥x", "4301-digits": "1" * 4301}
+WHITESPACE_READS = {
+    "too-few-fields": (["#"] * 16 + ["c1 u1 1000"],
+                       (None, ("line 17: expected at least 6 fields, got 3", 17))),
+    **{f"non-numeric-{name}": (["# comment", "", line], non_numeric(line, 3))
+       for name, line in NON_NUMERIC_LINES.items()},
+    "negative-timestamp": (["c1 u1 -5 v42 200 512"], (None, ("line 1: negative timestamp -5", 1))),
+    "bad-line-with-filtered-status": (["c1 u1 10 v1 200 5", "c1 u1 20 v2 404 -5"],
+                                      (None, ("line 2: negative bytes_sent -5", 2))),
+    "six-token-comment": (["# u1 10 v1 200 5", "c1 u1 20 v2 200 5"],
+                          ([AccessEvent("c1", 20, "v2")], None)),
+    "seven-fields": (["c1 u1 10 v1 200 5 extra", "c1 u1 20 v2 200 5"],
+                     ([AccessEvent("c1", 10, "v1"), AccessEvent("c1", 20, "v2")], None)),
+    **{f"kept-status-{status}": ([one_line(status=status)], KEPT)
+       for status in ("0200", "+200", "00200", "+0200", "2_00", "٢٠٠")},
+    **{f"filtered-status-{status}": ([one_line(status=status)], ([], None))
+       for status in ("0404", "+404", "2000", "20", "-200", "٢٠٦")},
+    **{f"bytes-{name}": ([one_line(raw_bytes=raw)], KEPT) for name, raw in GOOD_BYTES.items()},
+    **{f"bad-bytes-{name}": ([one_line(raw_bytes=raw)], non_numeric(one_line(raw_bytes=raw)))
+       for name, raw in BAD_BYTES.items()},
+}
 
 
-@pytest.mark.parametrize("status", ["0404", "+404", "2000", "20", "-200", "٢٠٦"])
-def test_iter_events_filters_other_spellings_by_value(status):
-    assert read_both([f"c1 u1 10 v1 {status} 5"]) == ([], None)
-
-
-@pytest.mark.parametrize(
-    "raw_bytes", ["٥", "５", "+5", "5_0", "0" * 640, "1" * 640, "1" * 641, "٥" * 641],
-    ids=["arabic-indic", "fullwidth", "plus", "underscore", "640-zeros", "640-digits",
-         "641-digits", "641-arabic-indic"],
-)
-def test_iter_events_keeps_other_spellings_of_good_bytes(raw_bytes):
-    # The fast path takes at most 640 decimal digits; every other spelling
-    # that int() reads goes through the shared step, with the same result.
-    line = f"c1 u1 10 v1 200 {raw_bytes}"
-    assert read_both([line]) == ([AccessEvent("c1", 10, "v1")], None)
+@pytest.mark.parametrize("lines, expected", WHITESPACE_READS.values(), ids=list(WHITESPACE_READS))
+def test_whitespace_read_events(lines, expected):
+    assert read_both(lines) == expected
 
 
 @pytest.mark.skipif(
@@ -351,29 +337,6 @@ def test_iter_events_agrees_with_reference_at_the_lowest_digit_limit():
         sys.set_int_max_str_digits(limit)
     assert events is None
     assert error == (f"line 1: non-numeric timestamp, status or bytes in {fields!r}", 1)
-
-
-@pytest.mark.parametrize("raw_bytes", ["²", "5²", "①", "٥x"])
-def test_iter_events_rejects_digits_that_int_cannot_read(raw_bytes):
-    fields = ["c1", "u1", "10", "v1", "200", raw_bytes]
-    events, error = read_both([" ".join(fields)])
-    assert events is None
-    assert error == (f"line 1: non-numeric timestamp, status or bytes in {fields!r}", 1)
-
-
-def test_iter_events_rejects_4301_digit_bytes():
-    fields = ["c1", "u1", "10", "v1", "200", "1" * 4301]
-    events, error = read_both([" ".join(fields)])
-    assert events is None
-    assert error == (f"line 1: non-numeric timestamp, status or bytes in {fields!r}", 1)
-
-
-def test_iter_events_rejects_bad_line_whose_status_is_filtered():
-    lines = ["c1 u1 10 v1 200 5", "c1 u1 20 v2 404 -5"]
-    with pytest.raises(LogParseError) as err:
-        list(iter_events(lines))
-    assert err.value.line_number == 2
-    assert str(err.value) == "line 2: negative bytes_sent -5"
 
 
 INT64_MAX = 2**63 - 1

@@ -131,6 +131,11 @@ def test_evaluate_nonmember_requests_do_not_hit():
     sessions = [make_session("c2", [(0, "v1")])]  # c2 belongs to cluster 1
     result = evaluate_plan(plan, sessions, {"c1": 0, "c2": 1})
     assert [m.hits for m in result.metrics] == [0, 0]
+    # c3's cluster 2 is not in the plan: its requests score nowhere, and c3
+    # is clustered all the same.
+    sessions = [make_session("c3", [(0, "v1"), (1, "v2")])]
+    result = evaluate_plan(plan, sessions, {"c1": 0, "c2": 1, "c3": 2})
+    assert result == EvaluationResult((CacheMetrics(0, 1, 1, 0), CacheMetrics(1, 1, 1, 0)), ())
 
 
 def test_evaluate_event_order_invariance():
