@@ -95,9 +95,17 @@ def patterns_for_sessions(
     return kept, dropped
 
 
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted, its quotes doubled, when it holds a
+    comma, a quote or a line break, and as it is otherwise."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render_pattern_matrix(patterns: Iterable[PatternVector], base: BaseVector) -> str:
     """Comma-separated matrix: URL header row, then one 0/1 row per pattern."""
-    lines = [",".join(base.urls)]
+    lines = [",".join(map(_csv_field, base.urls))]
     for pattern in patterns:
         if len(pattern.bits) != base.size:
             raise ValueError(

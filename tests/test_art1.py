@@ -106,16 +106,6 @@ def test_match_values_zero_pattern_is_zero():
         assert _match_table(size)[0] == 0.0
 
 
-def test_match_values_dimension_mismatch():
-    with pytest.raises(ValueError):
-        present_pattern(net_with(dim=3), (1, 0))
-
-
-def test_match_values_rejects_non_binary():
-    with pytest.raises(ValueError):
-        present_pattern(net_with(dim=3), (1, 2, 0))
-
-
 def test_match_values_against_dense_sum():
     # Networks trained at the benchmark's width: entry k of a prototype's
     # match table must equal the ascending-index dot product with its derived
@@ -212,11 +202,6 @@ def test_present_ties_go_to_lowest_index():
     assert net.top_down == [[1, 0, 0, 0], [0, 0, 1, 1]]
 
 
-def test_present_zero_pattern_rejected():
-    with pytest.raises(ValueError):
-        present_pattern(net_with(), (0, 0, 0))
-
-
 def test_capacity_error_reports_best_candidate():
     net = net_with(vigilance=1.0, dim=2, cap=1)
     present_pattern(net, (1, 0))
@@ -267,16 +252,25 @@ def test_train_empty_pattern_list():
     assert assignment.converged and assignment.epochs == 0
 
 
-def test_train_rejects_zero_pattern_upfront():
+@pytest.mark.parametrize(
+    "present, patterns, message",
+    [
+        (present_pattern, (1, 0), "pattern has length 2, expected 3"),
+        (present_pattern, (1, 2, 0), "pattern element 1 is 2, expected 0 or 1"),
+        (present_pattern, (0, 0, 0), "cannot present an all-zero pattern"),
+        (train, [(1, 0, 1), (0, 0, 0)], "pattern 1 is all zeros"),
+        (train, [(1, 0)], "pattern 0 has length 2, expected 3"),
+    ],
+    ids=["present-width", "present-non-binary", "present-zero", "train-zero", "train-width"],
+)
+def test_rejected_patterns_name_their_cause(present, patterns, message):
     net = net_with()
-    with pytest.raises(ValueError):
-        train(net, [(1, 0, 1), (0, 0, 0)])
-    assert net.active_clusters == 0  # validation happens before any learning
-
-
-def test_train_rejects_width_mismatch():
-    with pytest.raises(ValueError):
-        train(net_with(dim=3), [(1, 0)])
+    with pytest.raises(ValueError) as err:
+        present(net, patterns)
+    assert str(err.value) == message
+    # A rejected call learns nothing: train checks every pattern, (1, 0, 1)
+    # included, before it learns from any.
+    assert net.active_clusters == 0
 
 
 def test_train_single_pass_mode():
@@ -376,29 +370,20 @@ def test_snapshot_empty_network(tmp_path):
     assert loaded.config.input_dim == 4
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "3 7 0.5\n",
-        "3 7 0.5 1\n10\n0.4 0 0.4\n",
-        "3 7 0.5 1\n102\n0.4 0 0.4\n",
-        "3 7 0.5 1\n101\n0.4 0\n",
-        "3 7 0.5 1\n101\n0.4 0 1.5\n",
-        "3 7 0.5 2\n101\n0.4 0 0.4\n",
-        "3 7 0.5 1\n110\n0.9 0 0.7\n",
-    ],
-)
-def test_snapshot_rejects_malformed(tmp_path, text):
-    path = tmp_path / "bad.snapshot"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_snapshot(path)
+NOT_DERIVED = "weight row of cluster 0 is not t / (0.5 + |t|) of its prototype"
 
 
 @pytest.mark.parametrize(
     "text, message",
     [
+        ("", "empty snapshot file"),
+        ("3 7 0.5\n", "malformed snapshot header: '3 7 0.5'"),
+        ("3 7 0.5 1\n10\n0.4 0 0.4\n", "bad prototype row for cluster 0: '10'"),
+        ("3 7 0.5 1\n102\n0.4 0 0.4\n", "bad prototype row for cluster 0: '102'"),
+        ("3 7 0.5 1\n101\n0.4 0\n", "bad weight row for cluster 0: expected 3 values"),
+        ("3 7 0.5 1\n101\n0.4 0 1.5\n", NOT_DERIVED),
+        ("3 7 0.5 2\n101\n0.4 0 0.4\n", "expected 5 lines, found 3"),
+        ("3 7 0.5 1\n110\n0.9 0 0.7\n", NOT_DERIVED),
         ("3 2 x 1\n", "malformed snapshot header: '3 2 x 1'"),
         ("3 2 0.5 3\n", "active cluster count 3 outside [0, 2]"),
         (
@@ -406,7 +391,9 @@ def test_snapshot_rejects_malformed(tmp_path, text):
             "bad weight row for cluster 1: could not convert string to float: 'x'",
         ),
     ],
-    ids=["header-value", "active-count", "weight-token"],
+    ids=["empty", "header-fields", "short-prototype", "non-binary-prototype", "short-weights",
+         "weights-not-derived", "missing-lines", "weights-of-other-prototype", "header-value",
+         "active-count", "weight-token"],
 )
 def test_snapshot_errors_name_their_cause(tmp_path, text, message):
     path = tmp_path / "bad.snapshot"

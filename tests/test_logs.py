@@ -514,11 +514,6 @@ def test_sessions_hold_one_string_per_id(read):
     assert len(set(map(id, clients))) == len(set(clients)) == 2
 
 
-def test_segmentation_rejects_nonpositive_idle():
-    with pytest.raises(ValueError):
-        segment_sessions([], maximum_idle_time=0)
-
-
 def test_segmentation_empty():
     assert segment_sessions([]) == []
 
@@ -557,6 +552,15 @@ def test_window_grouping_empty():
     assert group_sessions_by_window([], 86400) == []
 
 
-def test_window_grouping_rejects_bad_spacing():
-    with pytest.raises(ValueError):
-        group_sessions_by_window([], 0)
+@pytest.mark.parametrize(
+    "reject, message",
+    [
+        (lambda: segment_sessions([], maximum_idle_time=0), "maximum_idle_time must be positive"),
+        (lambda: group_sessions_by_window([], 0), "window_spacing must be positive"),
+    ],
+    ids=["idle-time", "window-spacing"],
+)
+def test_rejected_bounds_name_their_cause(reject, message):
+    with pytest.raises(ValueError) as err:
+        reject()
+    assert str(err.value) == message

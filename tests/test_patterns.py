@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 import pytest
 
 from vodprefetch.patterns import (
     BaseVector,
+    PatternVector,
     UnknownVideoError,
     build_base_vector,
     patterns_for_sessions,
@@ -28,16 +31,6 @@ def test_base_vector_stable_under_shuffle():
     random.Random(3).shuffle(shuffled)
     assert build_base_vector(events).urls == build_base_vector(shuffled).urls
     assert build_base_vector(events).size == 200
-
-
-def test_base_vector_empty_corpus():
-    with pytest.raises(ValueError):
-        build_base_vector([])
-
-
-def test_base_vector_rejects_duplicate_urls():
-    with pytest.raises(ValueError, match="base vector URLs must be distinct"):
-        BaseVector.from_urls(["v1", "v2", "v1"])
 
 
 def test_extract_pattern_frequency_threshold():
@@ -73,17 +66,25 @@ def test_extract_pattern_unknown_video():
     assert "vX" in str(err.value)
 
 
-def test_extract_pattern_rejects_bad_threshold():
-    session = make_session("c1", [(0, "v1")])
-    base = build_base_vector(list(session.events))
-    with pytest.raises(ValueError):
-        patterns_for_sessions([session], base, freq_threshold=0)
-
-
-def test_bad_threshold_is_rejected_without_sessions():
-    base = build_base_vector([make_event("c1", 0, "v1")])
-    with pytest.raises(ValueError, match="^freq_threshold must be >= 1$"):
-        patterns_for_sessions([], base, 0)
+@pytest.mark.parametrize(
+    "reject, message",
+    [
+        (lambda: build_base_vector([]), "cannot build a base vector from an empty corpus"),
+        (lambda: BaseVector.from_urls(["v1", "v2", "v1"]), "base vector URLs must be distinct"),
+        (lambda: patterns_for_sessions([make_session("c1", [(0, "v1")])], BaseVector(("v1",)), 0),
+         "freq_threshold must be >= 1"),
+        (lambda: patterns_for_sessions([], BaseVector(("v1",)), 0), "freq_threshold must be >= 1"),
+        (lambda: render_pattern_matrix([PatternVector("c1", b"\x01\x00")],
+                                       BaseVector(("v1", "v2", "v3"))),
+         "pattern width 2 does not match base size 3"),
+    ],
+    ids=["empty-corpus", "duplicate-urls", "threshold-zero", "threshold-zero-without-sessions",
+         "width-mismatch"],
+)
+def test_rejected_inputs_name_their_cause(reject, message):
+    with pytest.raises(ValueError) as err:
+        reject()
+    assert str(err.value) == message
 
 
 def bits_of(session, base):
@@ -149,10 +150,11 @@ def test_render_pattern_matrix():
     assert render_pattern_matrix(kept, base) == "v1,v2\n1,0\n"
 
 
-def test_render_pattern_matrix_width_mismatch():
-    base = build_base_vector([make_event("c", 0, "v1"), make_event("c", 1, "v2")])
-    session = make_session("c1", [(0, "v1"), (1, "v1")])
-    kept, _ = patterns_for_sessions([session], base)
-    bigger = build_base_vector([make_event("c", i, f"v{i}") for i in (1, 2, 3)])
-    with pytest.raises(ValueError):
-        render_pattern_matrix(kept, bigger)
+def test_render_pattern_matrix_header_reads_back_as_csv():
+    # A whitespace log's video ids may hold commas and quotes; a line break
+    # is quoted too.
+    base = BaseVector.from_urls(['"q"', "v,1", "v2", "two\r\nlines"])
+    text = render_pattern_matrix([PatternVector("c1", b"\x01\x00\x01\x00")], base)
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [
+        list(base.urls), ["1", "0", "1", "0"]
+    ]

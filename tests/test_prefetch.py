@@ -77,11 +77,6 @@ def test_build_plan_full_prototype_length():
     assert plan == {2: urls}
 
 
-def test_build_plan_width_mismatch():
-    with pytest.raises(ValueError, match="input_dim 3 does not match base size 2"):
-        build_plan(net_of(3, 0b101), [0], base_of("v1", "v2"))
-
-
 # --- evaluation ---
 
 
@@ -208,10 +203,31 @@ def test_sliding_run_disjoint_next_window():
     assert metric.hits == 0 and metric.accuracy == 0.0
 
 
-def test_sliding_run_needs_two_windows():
-    base = base_of("v1")
-    with pytest.raises(ValueError):
-        sliding_run([[]], base, Art1Config(1, 0.5, 1, 1))
+# A one-URL base and network settings for it: the rejected runs below stop
+# before either is used.
+ONE_URL = (base_of("v1"), Art1Config(1, 0.5, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "reject, message",
+    [
+        (lambda: sliding_run([[]], *ONE_URL),
+         "sliding evaluation needs at least two session windows"),
+        (lambda: sliding_run([[], []], *ONE_URL, history_windows=-1),
+         "history_windows must be >= 0"),
+        (lambda: sliding_run([[], [], []], *ONE_URL, patterns=[[], []]),
+         "2 pattern lists for 3 windows"),
+        (lambda: sweep_vigilance([(1, 0)], (), input_dim=2, max_clusters=1),
+         "sweep grid must not be empty"),
+        (lambda: build_plan(net_of(3, 0b101), [0], base_of("v1", "v2")),
+         "network input_dim 3 does not match base size 2"),
+    ],
+    ids=["one-window", "negative-history", "pattern-lists", "empty-grid", "plan-width"],
+)
+def test_rejected_runs_name_their_cause(reject, message):
+    with pytest.raises(ValueError) as err:
+        reject()
+    assert str(err.value) == message
 
 
 def test_sliding_run_empty_window_keeps_cumulative_history():
@@ -235,12 +251,6 @@ def test_sliding_run_empty_history_yields_empty_result():
     )
     # the one-window history of window 1 is the empty window itself
     assert results[1] == (1, EvaluationResult((), ()))
-
-
-def test_sliding_run_rejects_negative_history():
-    windows = group_sessions_by_window(_two_window_sessions(), 86400)
-    with pytest.raises(ValueError, match="history_windows must be >= 0"):
-        sliding_run(windows, base_of("v1", "v2"), Art1Config(2, 0.5, 1, 1), history_windows=-1)
 
 
 def test_sliding_run_history_restriction():
@@ -448,11 +458,6 @@ def test_force_assign_fallbacks_warn_once_per_training():
                                   " fell back to the closest cluster (--force-assign)")]
 
 
-def test_sweep_rejects_empty_grid():
-    with pytest.raises(ValueError, match="sweep grid must not be empty"):
-        sweep_vigilance([(1, 0)], (), input_dim=2, max_clusters=1)
-
-
 @pytest.mark.parametrize("name", ["vigilance", "colour"])
 def test_sweep_forwards_only_the_other_config_fields(name):
     # The grid sets vigilance; every other setting is an Art1Config field.
@@ -576,13 +581,6 @@ def test_sliding_run_cost_outside_trainings_is_linear_in_windows():
     assert len(results) == 20_001
     assert results[-1] == (20_000, EvaluationResult((CacheMetrics(0, 1, 1, 1),), ()))
     assert elapsed < 2.0, f"{elapsed:.2f} s"
-
-
-def test_sliding_run_needs_one_pattern_list_per_window():
-    windows, base = _windows_of([[("a", "v1")], [("a", "v1")], [("a", "v1")]])
-    patterns = [patterns_for_sessions(window, base)[0] for window in windows[:-1]]
-    with pytest.raises(ValueError, match="2 pattern lists for 3 windows"):
-        sliding_run(windows, base, Art1Config(base.size, 0.5, 10, 10), patterns=patterns)
 
 
 def test_sliding_run_trains_on_the_given_patterns():

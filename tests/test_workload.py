@@ -40,42 +40,55 @@ def small_config(**overrides):
 # --- config validation ---
 
 
+NEGATIVE_OR_NON_FINITE = "schedule hour 0 has a negative or non-finite multiplier"
+# Each row is named by its position: overrides0, overrides1, ...
+BAD_CONFIGS = [
+    ({"num_clients": 0}, "need at least one client and one video"),
+    ({"num_groups": 0}, "num_groups must be in [1, num_clients], got 0"),
+    ({"num_groups": 7}, "num_groups must be in [1, num_clients], got 7"),
+    ({"in_group_prob": 1.5}, "in_group_prob must be in [0, 1], got 1.5"),
+    ({"zipf_exponent": 0.0}, "zipf_exponent must be positive and finite, got 0.0"),
+    ({"requests_min": 9, "requests_max": 8}, "bad request range [9, 8]"),
+    ({"num_session_windows": 0}, "num_session_windows must be >= 1"),
+    ({"window_spacing": 0}, "window_spacing must be >= 1"),
+    ({"shared_pool": 13}, "shared_pool must be in [0, num_videos], got 13"),
+    ({"category_schedule": {24: (1.0, 1.0, 1.0)}}, "schedule hour 24 outside [0, 23]"),
+    ({"category_schedule": {0: (1.0, 1.0)}}, "schedule for hour 0 has 2 multipliers, expected 3"),
+    ({"category_schedule": {0: (1.0, -1.0, 1.0)}}, NEGATIVE_OR_NON_FINITE),
+    ({"zipf_exponent": math.nan}, "zipf_exponent must be positive and finite, got nan"),
+    ({"zipf_exponent": math.inf}, "zipf_exponent must be positive and finite, got inf"),
+    ({"category_schedule": {0: (1.0, math.nan, 1.0)}}, NEGATIVE_OR_NON_FINITE),
+    ({"category_schedule": {0: (1.0, math.inf, 1.0)}}, NEGATIVE_OR_NON_FINITE),
+    ({"num_videos": 0}, "need at least one client and one video"),
+]
+
+
 @pytest.mark.parametrize(
-    "overrides",
-    [
-        {"num_clients": 0},
-        {"num_groups": 0},
-        {"num_groups": 7},
-        {"in_group_prob": 1.5},
-        {"zipf_exponent": 0.0},
-        {"requests_min": 9, "requests_max": 8},
-        {"num_session_windows": 0},
-        {"window_spacing": 0},
-        {"shared_pool": 13},
-        {"category_schedule": {24: (1.0, 1.0, 1.0)}},
-        {"category_schedule": {0: (1.0, 1.0)}},
-        {"category_schedule": {0: (1.0, -1.0, 1.0)}},
-        {"zipf_exponent": math.nan},
-        {"zipf_exponent": math.inf},
-        {"category_schedule": {0: (1.0, math.nan, 1.0)}},
-        {"category_schedule": {0: (1.0, math.inf, 1.0)}},
-    ],
+    "overrides, message", BAD_CONFIGS, ids=[f"overrides{i}" for i in range(len(BAD_CONFIGS))]
 )
-def test_config_rejects_bad_values(overrides):
-    with pytest.raises(ValueError):
+def test_config_rejects_bad_values(overrides, message):
+    with pytest.raises(ValueError) as err:
         small_config(**overrides)
+    assert str(err.value) == message
 
 
-def test_feasibility_rejects_tight_window():
-    config = small_config(window_spacing=8 * MAX_STEP_SECONDS)
-    with pytest.raises(ValueError):
-        validate_feasibility(config)
+TIGHT_WINDOW = "window_spacing 240 cannot hold a visit of up to 8 requests (needs > 240)"
 
 
-def test_feasibility_rejects_too_few_videos():
-    config = small_config(num_clients=10, num_groups=5, num_videos=3)
-    with pytest.raises(ValueError):
-        validate_feasibility(config)
+@pytest.mark.parametrize(
+    "reject, overrides, message",
+    [
+        (validate_feasibility, {"window_spacing": 8 * MAX_STEP_SECONDS}, TIGHT_WINDOW),
+        (validate_feasibility, {"num_clients": 10, "num_groups": 5, "num_videos": 3},
+         "3 videos cannot fill 5 exclusive catalogs"),
+        (generate, {"window_spacing": 8 * MAX_STEP_SECONDS}, TIGHT_WINDOW),
+    ],
+    ids=["tight-window", "too-few-videos", "generate-tight-window"],
+)
+def test_infeasible_configs_name_their_cause(reject, overrides, message):
+    with pytest.raises(ValueError) as err:
+        reject(small_config(**overrides))
+    assert str(err.value) == message
 
 
 # --- planted structure ---
@@ -237,11 +250,6 @@ def test_generate_request_counts_within_range():
 def test_generate_user_id_mirrors_client_id():
     records, _ = generate(small_config())
     assert all(r.user_id == "u" + r.client_id[1:] for r in records)
-
-
-def test_generate_rejects_infeasible_config():
-    with pytest.raises(ValueError):
-        generate(small_config(window_spacing=8 * MAX_STEP_SECONDS))
 
 
 def test_schedule_steers_out_of_group_picks():
