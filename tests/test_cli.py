@@ -78,6 +78,22 @@ def test_parse_hour_key_single_and_range():
     assert _parse_hour_key("18-20") == [18, 19, 20]
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("24", "schedule hours '24' outside 0-23 or reversed"),
+        ("20-18", "schedule hours '20-18' outside 0-23 or reversed"),
+        ("7-25", "schedule hours '7-25' outside 0-23 or reversed"),
+        ("evening", "bad schedule hour 'evening' (use H or H1-H2)"),
+    ],
+    ids=["24", "20-18", "7-25", "evening"],
+)
+def test_parse_hour_key_rejects(key, message):
+    with pytest.raises(ValueError) as err:
+        _parse_hour_key(key)
+    assert str(err.value) == message
+
+
 def test_sweep_records_capacity_per_point():
     patterns = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     points = sweep_vigilance(
