@@ -231,10 +231,17 @@ def _build_parser() -> _Parser:
 
     A --config file's values replace the defaults, so flags override the
     file, which overrides these.
+
+    `add_argument` builds a help formatter per flag only to check its
+    metavar, and a formatter without a width asks `shutil` (which imports
+    `bz2`, `lzma` and `zlib`) for the terminal's. The build never reads the
+    width, so it fixes one; argparse's own formatter is put back for
+    `--help`, which still wraps to the terminal.
     """
     parser = _Parser(
         prog="vodprefetch",
         description="Cluster per-session video request patterns and score prototype prefetching.",
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80),
     )
     add = parser.add_argument
     add("--config", help="INI experiment config file")
@@ -261,11 +268,12 @@ def _build_parser() -> _Parser:
         help="on capacity exhaustion, assign to the closest cluster instead of failing")
     add("--dump-patterns", action="store_true", help="write patterns.csv")
     parser.set_defaults(workload=None)
+    parser.formatter_class = argparse.HelpFormatter
     return parser
 
 
 def _parse_float_list(raw: str) -> tuple[float, ...]:
-    tokens = [token for token in re.split(r"[,\s]+", raw.strip()) if token]
+    tokens = raw.replace(",", " ").split()
     if not tokens:
         raise UsageError("empty sweep grid")
     try:

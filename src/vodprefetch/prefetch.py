@@ -67,27 +67,33 @@ class SweepPoint(namedtuple("SweepPoint", "vigilance error network", defaults=(N
 
 def _train_fresh(
     config: Art1Config, patterns: list[Sequence[int]], label: str
-) -> tuple[Art1Network, Assignment, None] | tuple[None, None, str]:
-    """Train a fresh network: (network, assignment, None), or (None, None, the CapacityError
-    text). `_log_training` reports the outcome under `label`."""
+) -> tuple[Art1Network, Assignment, None, int] | tuple[None, None, str, int]:
+    """Train a fresh network: (network, assignment, None, fallbacks), or (None, None, the
+    CapacityError text, 0). `_log_training` reports the outcome under `label`.
+
+    `fallbacks` counts the last epoch's force-assign fallbacks, for a caller that
+    logs the outcome again."""
     net = init_network(config)
     try:
-        assignment, error = train(net, patterns), None
+        assignment = train(net, patterns)
     except CapacityError as exc:
-        net, assignment, error = None, None, str(exc)
-    _log_training(label, assignment, error)
-    return net, assignment, error
+        _log_training(label, None, str(exc), 0)
+        return None, None, str(exc), 0
+    # Only a force-assign fallback ends in a cluster it was rejected by.
+    fallbacks = sum(c in r for c, r in zip(assignment.clusters, assignment.rejections))
+    _log_training(label, assignment, None, fallbacks)
+    return net, assignment, None, fallbacks
 
 
-def _log_training(label: str, assignment: Assignment | None, error: str | None) -> None:
+def _log_training(
+    label: str, assignment: Assignment | None, error: str | None, fallbacks: int
+) -> None:
     """Log a training's error, or warnings for non-convergence and fallbacks, under `label`."""
     if error is not None:
         log.error("%s: %s", label, error)
         return
     if not assignment.converged:
         log.warning("%s: training did not converge in %d epochs", label, assignment.epochs)
-    # Only a force-assign fallback ends in a cluster it was rejected by.
-    fallbacks = sum(c in r for c, r in zip(assignment.clusters, assignment.rejections))
     if fallbacks:
         log.warning("%s: %d of %d presentations in the last epoch fell back to the closest"
                     " cluster (--force-assign)", label, fallbacks, len(assignment.clusters))
@@ -117,13 +123,17 @@ def evaluate_plan(
     plan: Mapping[int, tuple[str, ...]],
     next_sessions: Sequence[Session],
     membership: Mapping[str, int],
+    *,
+    members: Mapping[int, int] | None = None,
 ) -> EvaluationResult:
     """Score a plan, cluster to prefetched URLs, against the next window's demand.
 
     A hit is a distinct prefetched video requested at least once by any
     member of the cluster; accuracy is hits over prefetched count (zero for
     an empty plan). Clients without a membership entry land in the
-    unclustered bucket and count toward no cluster.
+    unclustered bucket and count toward no cluster. `members`, each
+    cluster's client count, is counted from `membership` when not given;
+    a caller scoring one membership against many windows counts it once.
     """
     requested: dict[int, set[str]] = {c: set() for c in plan}
     unclustered: set[str] = set()
@@ -133,11 +143,14 @@ def evaluate_plan(
             unclustered.add(session.client_id)
         elif cluster in requested:
             requested[cluster].update(session.videos)
-    members = Counter(membership.values())
+    if members is None:
+        members = Counter(membership.values())
     metrics = []
     for cluster in sorted(plan):
         urls = plan[cluster]
-        hits = len(requested[cluster].intersection(urls))
+        wanted = requested[cluster]
+        # Nothing to intersect when the cluster's members requested nothing.
+        hits = len(wanted.intersection(urls)) if wanted else 0
         metrics.append(CacheMetrics(cluster, members[cluster], len(urls), hits))
     return EvaluationResult(tuple(metrics), tuple(sorted(unclustered)))
 
@@ -167,10 +180,10 @@ def sliding_run(
     windows still run. Each training runs through `_train_fresh`, labelled
     `window W`, under `art_config` (its force_assign rule included). Window w
     retrains only when it or the window leaving its range kept patterns; any
-    other window reuses the last training's plan and membership, with no
-    rebuild and no training. It still scores that plan against its own next
-    window, and logs the training's outcome again, which recounts the
-    training's fallbacks over every history pattern.
+    other window reuses the last training's plan, membership and counts of
+    members and fallbacks, with no rebuild, no training and no recount. It
+    still scores that plan against its own next window, and logs the
+    training's outcome again.
 
     It trains on `patterns`, the kept patterns of each window in window
     order, as the caller extracted them; every history that includes a
@@ -192,17 +205,20 @@ def sliding_run(
         if patterns[w] or (first and patterns[first - 1]):
             history = [pattern for i in range(first, w + 1) for pattern in patterns[i]]
             if history:
-                net, assignment, error = _train_fresh(
+                net, assignment, error, fallbacks = _train_fresh(
                     art_config, [p.bits for p in history], f"window {w}"
                 )
                 if error is None:
                     # A client's latest pattern sets its membership.
                     membership = {p.client_id: c for p, c in zip(history, assignment.clusters)}
+                    members = Counter(membership.values())
                     plan = build_plan(net, assignment.clusters, base)
         elif history:
-            _log_training(f"window {w}", assignment, error)
+            _log_training(f"window {w}", assignment, error, fallbacks)
         if history and error is None:
-            results.append((w, evaluate_plan(plan, windows[w + 1], membership)))
+            results.append(
+                (w, evaluate_plan(plan, windows[w + 1], membership, members=members))
+            )
         else:
             results.append((w, EvaluationResult((), (), error if history else None)))
     return results
@@ -222,7 +238,7 @@ def sweep_vigilance(
     points = []
     for value in grid:
         config = Art1Config(vigilance=value, **settings)
-        net, _, error = _train_fresh(config, patterns, f"vigilance {value:g}")
+        net, _, error, _ = _train_fresh(config, patterns, f"vigilance {value:g}")
         points.append(SweepPoint(value, error, net))
     return points
 

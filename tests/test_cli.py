@@ -71,6 +71,10 @@ def run_configs(monkeypatch):
 def test_parse_float_list_accepts_commas_and_spaces():
     assert _parse_float_list("0.3, 0.5") == (0.3, 0.5)
     assert _parse_float_list("0.3 0.5") == (0.3, 0.5)
+    # Runs of commas and of any whitespace, Unicode and control ones too,
+    # separate values.
+    for raw in ("0.3,,0.5", " 0.3\t0.5\n", "0.3\u20030.5", "0.3\x1c0.5"):
+        assert _parse_float_list(raw) == (0.3, 0.5), raw
 
 
 def test_parse_hour_key_single_and_range():
@@ -877,6 +881,26 @@ def test_converged_run_logs_no_warning(tmp_path, caplog):
     assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
+def help_lines(monkeypatch, capsys, columns):
+    """The lines of `--help` below its usage block, at a terminal `columns` wide.
+
+    argparse never breaks a usage group, so `[--history-windows
+    HISTORY_WINDOWS]` runs past a narrow terminal at any width."""
+    monkeypatch.setenv("COLUMNS", str(columns))
+    with pytest.raises(SystemExit) as raised:
+        main(["--help"])
+    assert raised.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: vodprefetch ")
+    return text.split("\n\n", 1)[1].splitlines()
+
+
+def test_help_wraps_to_the_terminal_width(monkeypatch, capsys):
+    # argparse wraps help two columns inside the terminal's width.
+    assert max(map(len, help_lines(monkeypatch, capsys, 50))) <= 48
+    assert max(map(len, help_lines(monkeypatch, capsys, 120))) > 48
+
+
 # --- cold start ---
 
 # Modules a replay run has no use for; each costs start-up time.
@@ -889,6 +913,13 @@ REPLAY_NEVER_LOADS = (
     "typing",
     "_typing",
     "vodprefetch.workload",
+    # argparse reads the terminal width through shutil only to print help.
+    "shutil",
+    "bz2",
+    "lzma",
+    "zlib",
+    "fnmatch",
+    "_compression",
 )
 
 
