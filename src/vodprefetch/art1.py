@@ -109,7 +109,9 @@ def init_network(config: Art1Config) -> Art1Network:
     return Art1Network(config)
 
 
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# Byte 0 and byte 1 become their digits; every other byte becomes "2", which
+# int(..., 2) rejects.
+_BINARY_DIGITS = b"01" + b"2" * 254
 
 
 def _to_mask(pattern: Sequence[int], dim: int, name: str = "pattern") -> int:
@@ -122,10 +124,10 @@ def _to_mask(pattern: Sequence[int], dim: int, name: str = "pattern") -> int:
     # through the element loop, which names the bad entry.
     try:
         raw = bytes(pattern)
+        if len(raw) == dim:
+            return int(raw[::-1].translate(_BINARY_DIGITS), 2)
     except (TypeError, ValueError):
-        raw = b""
-    if raw and len(raw) == dim and not raw.translate(None, b"\x00\x01"):
-        return int(raw[::-1].translate(_BINARY_DIGITS), 2)
+        pass
     mask = 0
     for i, value in enumerate(pattern):
         if value == 1:
@@ -156,6 +158,13 @@ def _match_table(size: int) -> tuple[float, ...]:
     for _ in range(size):
         table.append(table[-1] + scale)
     return tuple(table)
+
+
+@cache
+def _every_cluster(count: int) -> tuple[int, ...]:
+    # A fallback's resets: one shared tuple per cluster count, which train's
+    # replayed fallbacks return again.
+    return tuple(range(count))
 
 
 def _tables(protos: list[int]) -> list[tuple[float, ...]]:
@@ -199,7 +208,7 @@ def _present(
             # With no shared bit, learning would leave an all-zero prototype.
             if best:
                 _learn(protos, tables, log, best_cluster, x)
-            return best_cluster, tuple(range(len(protos)))
+            return best_cluster, _every_cluster(len(protos))
     if overlaps:
         values = [table[k] for table, k in zip(tables, overlaps)]
         # Clusters rank by descending match value, ties to the lowest index,
@@ -209,9 +218,9 @@ def _present(
         # first pick / a pick after a reset / a new cluster / a fallback
         # 2433/1277/584/0 times on sweep-heavy (4294 searches of 6720
         # presentations; train replays the rest), 2913/0/65/0 times on
-        # ingest-heavy (2978 of 3800) and 433/154/160/2426 times on
-        # sliding-capped (3173 of 3360), where the full-network test above
-        # settles every fallback.
+        # ingest-heavy (2978 of 3800) and 433/154/160/1224 times on
+        # sliding-capped (1971 of 3360), where the full-network test above
+        # settles every fallback that train does not replay.
         j = values.index(max(values))
         if overlaps[j] / size >= vigilance:
             _learn(protos, tables, log, j, x)
@@ -262,13 +271,19 @@ def train(net: Art1Network, patterns: Sequence[Sequence[int]]) -> Assignment:
     A presentation whose outcome cannot have changed is replayed without a
     search. Prototypes only ever lose bits, so a cluster that was neither
     created nor shrunk since pattern x was last presented still has the same
-    match value and vigilance outcome for it. Let that presentation have
-    picked existing cluster j first and left it unchanged (t_j inside x), and
-    let C be the clusters created or shrunk since. When j is not in C and
-    every cluster in C ranks after j (a lower value, or an equal one and a
-    higher index), the search would pick j first again, rejecting nothing,
-    and j would learn nothing. A pick after a reset always shrinks its
-    cluster, so only first picks are replayed.
+    match value and vigilance outcome for it. Let C be the clusters created
+    or shrunk since, and j the cluster that presentation returned.
+    - It picked existing cluster j first and left it unchanged (t_j inside
+      x). When j is not in C and every cluster in C ranks after j (a lower
+      value, or an equal one and a higher index), the search would pick j
+      first again, rejecting nothing, and j would learn nothing. A pick
+      after a reset always shrinks its cluster, so no such pick is replayed.
+    - It fell back to j in a full network, and j then learned x. When j is
+      not in C, x falls back to j again with the same resets, every cluster:
+      the network cannot grow, other clusters' overlaps with x can only
+      fall, so j stays the lowest-index largest overlap and still fails
+      vigilance, and j learns nothing, since t_j lies inside x (or, with no
+      shared bit, every overlap stays 0).
     """
     masks = []
     for k, pattern in enumerate(patterns):
@@ -282,33 +297,39 @@ def train(net: Art1Network, patterns: Sequence[Sequence[int]]) -> Assignment:
     protos = net.prototypes
     tables = _tables(protos)
     # log lists, in order, every cluster created or shrunk by this call, and
-    # replays[k] is (len(log), j) after pattern k's last presentation when that
-    # rejected and logged nothing, so it picked existing cluster j first, unchanged.
+    # replays[k] is (len(log), j, resets) after pattern k's last presentation
+    # when train may repeat it: a first pick of existing cluster j that
+    # rejected and logged nothing, or a full network's fallback to j.
     log: list[int] = []
-    replays: list[tuple[int, int] | None] = [None] * len(masks)
+    replays: list[tuple[int, int, tuple[int, ...]] | None] = [None] * len(masks)
     for epochs in range(1, net.config.max_epochs + 1):
         clusters: list[int] = []
         rejections: list[tuple[int, ...]] = []
         for k, x in enumerate(masks):
             replay = replays[k]
             if replay is not None:
-                start, index = replay
-                changed = set(log[start:])
+                start, index, rejected = replay
+                changed = log[start:]
                 if index not in changed:
+                    # A fallback repeats whatever else changed. A first pick
+                    # repeats unless a changed cluster now ranks ahead of j;
                     # t_j lies inside x, so j's value is its table's last entry.
                     value = tables[index][-1]
-                    for c in changed:
+                    for c in () if rejected else set(changed):
                         v = tables[c][(x & protos[c]).bit_count()]
                         if v > value or (v == value and c < index):
                             break
                     else:
-                        replays[k] = len(log), index
+                        replays[k] = len(log), index, rejected
                         clusters.append(index)
-                        rejections.append(())
+                        rejections.append(rejected)
                         continue
             start = len(log)
             index, rejected = _present(net, tables, x, log)
-            replays[k] = None if rejected or len(log) > start else (start, index)
+            # Only a full network's fallback resets every cluster; its record
+            # is taken after j learned x.
+            repeatable = len(rejected) == len(protos) if rejected else len(log) == start
+            replays[k] = (len(log), index, rejected) if repeatable else None
             clusters.append(index)
             rejections.append(rejected)
         if clusters == previous:

@@ -79,8 +79,9 @@ def _train_fresh(
     except CapacityError as exc:
         _log_training(label, None, str(exc), 0)
         return None, None, str(exc), 0
-    # Only a force-assign fallback ends in a cluster it was rejected by.
-    fallbacks = sum(c in r for c, r in zip(assignment.clusters, assignment.rejections))
+    # Only a full network's force-assign fallback resets every cluster of the
+    # final network: a new cluster or a pick after a reset leaves one out.
+    fallbacks = sum(len(r) == net.active_clusters for r in assignment.rejections)
     _log_training(label, assignment, None, fallbacks)
     return net, assignment, None, fallbacks
 
